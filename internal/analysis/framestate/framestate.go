@@ -544,11 +544,15 @@ var decMethods = map[string]byte{"u8": 'b', "u32": 'w', "i32": 'w', "i64": 'q', 
 var encMethods = map[string]byte{"u8": 'b', "u32": 'w', "i32": 'w', "mark": 'w', "i64": 'q'}
 
 // collectOps walks the straight-line statements following the statement
-// containing pos (in whichever block holds it) and collects codec
-// accessor calls on obj, stopping at the first compound statement and
-// at enc.finish.
+// containing pos (in the innermost block that holds it) and collects
+// codec accessor calls on obj, stopping at the first compound statement
+// and at enc.finish.
 func collectOps(pass *analysis.Pass, blocks [][]ast.Stmt, pos token.Pos, obj types.Object, methods map[string]byte) string {
-	for _, list := range blocks {
+	// blocks is in preorder, so the innermost block holding pos is the
+	// last one that does; an outer block would see only the enclosing
+	// loop or closure statement and yield an empty, vacuous signature.
+	for i := len(blocks) - 1; i >= 0; i-- {
+		list := blocks[i]
 		for i, st := range list {
 			if pos < st.Pos() || pos > st.End() {
 				continue

@@ -132,6 +132,16 @@ func encodeHello(rank uint32) []byte {
 	return e.finish()
 }
 
+// encodeHelloEach starts frames inside a loop body; the layout check
+// reaches it all the same.
+func encodeHelloEach(encs []enc, rank uint32) {
+	for i := range encs {
+		e := &encs[i]
+		e.reset(fHello) // want `encoders disagree`
+		e.u32(rank)
+	}
+}
+
 func serve(payload []byte) int64 {
 	switch payload[0] {
 	case fReq:

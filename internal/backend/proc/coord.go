@@ -99,6 +99,8 @@ type workerProc struct {
 	// dead closes when the reader goroutine loses the connection.
 	dead     chan struct{}
 	deadOnce sync.Once
+	// reapOnce lets Close and a revival kill the process concurrently.
+	reapOnce sync.Once
 	// lastBeat is the UnixNano of the latest heartbeat.
 	lastBeat atomic.Int64
 }
@@ -134,13 +136,17 @@ type Coordinator struct {
 	// that rank is suppressed (a real lost frame) or sent twice.
 	dropNext, dupNext []bool
 
-	enc   enc
-	stats Stats
+	// frames holds every rank's request frame, rebuilt per merge; live
+	// holds the ranks' workers for the barrier in flight.
+	frames reqFrames
+	live   []*workerProc
+	stats  Stats
 }
 
-// New starts a coordinator: it opens the socket, spawns opt.Workers
-// worker processes and waits for their hellos. On any startup failure
-// everything started so far is torn down.
+// New starts a coordinator: it opens the socket, starts all opt.Workers
+// worker processes, then waits for their hellos, so the ranks boot
+// concurrently. On any startup failure every process started so far is
+// killed and the coordinator torn down.
 func New(opt Options) (*Coordinator, error) {
 	opt = opt.withDefaults()
 	dir, err := os.MkdirTemp("", "parsim-proc-*")
@@ -167,15 +173,33 @@ func New(opt Options) (*Coordinator, error) {
 		backoff:  make([]time.Duration, opt.Workers),
 		dropNext: make([]bool, opt.Workers),
 		dupNext:  make([]bool, opt.Workers),
+		frames:   newReqFrames(opt.Workers),
+		live:     make([]*workerProc, opt.Workers),
 	}
 	for i := range c.hello {
 		c.hello[i] = make(chan net.Conn, 1)
 	}
 	go c.acceptLoop()
-	for rank := 0; rank < opt.Workers; rank++ {
-		if err := c.spawn(rank); err != nil {
-			c.Close()
-			return nil, fmt.Errorf("proc: spawn worker %d: %w", rank, err)
+	cmds := make([]*exec.Cmd, opt.Workers)
+	fail := func(rank int, err error) (*Coordinator, error) {
+		for _, cmd := range cmds {
+			if cmd != nil {
+				reap(cmd)
+			}
+		}
+		c.Close()
+		return nil, fmt.Errorf("proc: spawn worker %d: %w", rank, err)
+	}
+	for rank := range cmds {
+		cmd, err := c.start(rank)
+		if err != nil {
+			return fail(rank, err)
+		}
+		cmds[rank] = cmd
+	}
+	for rank, cmd := range cmds {
+		if err := c.adopt(rank, cmd); err != nil {
+			return fail(rank, err)
 		}
 	}
 	return c, nil
@@ -227,8 +251,17 @@ func (c *Coordinator) acceptLoop() {
 // spawn launches rank's worker process and waits for its hello. The
 // caller owns the rank's slot (coordinating goroutine or New).
 func (c *Coordinator) spawn(rank int) error {
+	cmd, err := c.start(rank)
+	if err != nil {
+		return err
+	}
+	return c.adopt(rank, cmd)
+}
+
+// start launches rank's worker process without waiting for its hello.
+func (c *Coordinator) start(rank int) (*exec.Cmd, error) {
 	if c.closed.Load() {
-		return fmt.Errorf("coordinator closed")
+		return nil, fmt.Errorf("coordinator closed")
 	}
 	// Drain a hello that arrived while nobody was waiting (the buffer
 	// holds one): it belongs to an earlier, possibly dead process, and
@@ -242,7 +275,7 @@ func (c *Coordinator) spawn(rank int) error {
 	if bin == "" {
 		exe, err := os.Executable()
 		if err != nil {
-			return fmt.Errorf("resolve worker binary: %w", err)
+			return nil, fmt.Errorf("resolve worker binary: %w", err)
 		}
 		bin = exe
 	}
@@ -250,7 +283,7 @@ func (c *Coordinator) spawn(rank int) error {
 		filepath.Join(c.opt.LogDir, fmt.Sprintf("worker-%d.log", rank)),
 		os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return fmt.Errorf("worker log: %w", err)
+		return nil, fmt.Errorf("worker log: %w", err)
 	}
 	cmd := exec.Command(bin, c.opt.Args...)
 	cmd.Env = append(os.Environ(),
@@ -262,11 +295,15 @@ func (c *Coordinator) spawn(rank int) error {
 	cmd.Stderr = logf
 	if err := cmd.Start(); err != nil {
 		logf.Close()
-		return fmt.Errorf("start: %w", err)
+		return nil, fmt.Errorf("start: %w", err)
 	}
 	logf.Close()
-	go cmd.Wait() // reap; exit state is not consulted
+	return cmd, nil
+}
 
+// adopt waits for the hello of rank's freshly started process cmd and
+// installs it as the rank's worker; without a hello in time it kills cmd.
+func (c *Coordinator) adopt(rank int, cmd *exec.Cmd) error {
 	select {
 	case conn := <-c.hello[rank]:
 		w := &workerProc{
@@ -287,7 +324,7 @@ func (c *Coordinator) spawn(rank int) error {
 		}
 		return nil
 	case <-time.After(c.opt.HeartbeatTimeout): //lint:wallclock-ok real transport handshake deadline, not model time
-		cmd.Process.Kill()
+		reap(cmd)
 		return fmt.Errorf("no hello within %v", c.opt.HeartbeatTimeout)
 	}
 }
@@ -316,13 +353,26 @@ func (c *Coordinator) readLoop(w *workerProc) {
 	}
 }
 
+// reap kills a worker process and waits for it to exit (the exit state
+// is not consulted). Processes are reaped at kill time rather than by a
+// goroutine parked in Wait for their whole life: a goroutine blocked in
+// the wait syscall holds a scheduler P until the runtime's monitor takes
+// it back, and with one such goroutine per rank on a two-core machine the
+// coordinator's socket reads — the workers' hellos included — stalled for
+// up to 10 ms. A worker that dies on its own stays a zombie until its
+// rank is revived or the coordinator closes.
+func reap(cmd *exec.Cmd) {
+	cmd.Process.Kill()
+	cmd.Wait()
+}
+
 // killWorker force-kills a worker process and closes its connection.
 func (c *Coordinator) killWorker(w *workerProc) {
 	if w == nil {
 		return
 	}
 	if w.cmd != nil && w.cmd.Process != nil {
-		w.cmd.Process.Kill()
+		w.reapOnce.Do(func() { reap(w.cmd) })
 	}
 	if w.conn != nil {
 		w.conn.Close()
@@ -467,38 +517,38 @@ func (c *Coordinator) sendTo(w *workerProc, frame []byte) error {
 	return nil
 }
 
-// rangeFor splits the cell (or component) space into contiguous
-// per-rank slices.
-func (c *Coordinator) rangeFor(rank, cells int) (lo, hi int) {
-	w := c.opt.Workers
-	return rank * cells / w, (rank + 1) * cells / w
+// ship sends every rank its built frame, rank-ordered, recording each
+// rank's live worker in c.live; responses are collected afterwards, so
+// the ranks merge concurrently.
+func (c *Coordinator) ship() error {
+	for rank := range c.live {
+		w, err := c.liveWorker(rank)
+		if err != nil {
+			return err
+		}
+		c.live[rank] = w
+		if err := c.sendTo(w, c.frames.out[rank]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// MergeMem implements engine.Backend: the request columns are filtered
-// per rank (count-backpatched single pass), shipped rank-ordered, and
-// the per-rank statistics merge in rank order — contention maxima by
-// max, the violating cell by smallest address.
+// MergeMem implements engine.Backend: one pass over the request columns
+// splits them into every rank's sparse frame, the frames ship
+// rank-ordered, and the per-rank statistics merge in rank order —
+// contention maxima by max, the violating cell by smallest address.
 func (c *Coordinator) MergeMem(req engine.MemMergeReq) (engine.MergeStats, error) {
 	st := engine.MergeStats{Viol: -1}
 	if c.closed.Load() {
 		return st, c.permanent(-1, fmt.Errorf("coordinator closed"))
 	}
-	// Ship rank-ordered requests first (pipelined), then collect
-	// rank-ordered responses.
-	live := make([]*workerProc, c.opt.Workers) //lint:hotpathalloc-ok W-element bookkeeping per barrier; dwarfed by the socket round trip
-	for rank := 0; rank < c.opt.Workers; rank++ {
-		w, err := c.liveWorker(rank)
-		if err != nil {
-			return st, err
-		}
-		live[rank] = w
-		lo, hi := c.rangeFor(rank, req.Cells)
-		if err := c.sendTo(w, c.encodeMemReq(req, lo, hi)); err != nil {
-			return st, err
-		}
+	c.frames.mem(req)
+	if err := c.ship(); err != nil {
+		return st, err
 	}
-	for rank := 0; rank < c.opt.Workers; rank++ {
-		p, err := c.await(live[rank], fMemRes, req.Phase, req.Attempt)
+	for rank, w := range c.live {
+		p, err := c.await(w, fMemRes, req.Phase, req.Attempt)
 		if err != nil {
 			return st, err
 		}
@@ -524,20 +574,12 @@ func (c *Coordinator) MergeRoute(req engine.RouteMergeReq) (engine.RouteStats, e
 	if c.closed.Load() {
 		return st, c.permanent(-1, fmt.Errorf("coordinator closed"))
 	}
-	live := make([]*workerProc, c.opt.Workers) //lint:hotpathalloc-ok W-element bookkeeping per barrier; dwarfed by the socket round trip
-	for rank := 0; rank < c.opt.Workers; rank++ {
-		w, err := c.liveWorker(rank)
-		if err != nil {
-			return st, err
-		}
-		live[rank] = w
-		lo, hi := c.rangeFor(rank, req.P)
-		if err := c.sendTo(w, c.encodeRouteReq(req, lo, hi)); err != nil {
-			return st, err
-		}
+	c.frames.route(req)
+	if err := c.ship(); err != nil {
+		return st, err
 	}
-	for rank := 0; rank < c.opt.Workers; rank++ {
-		p, err := c.await(live[rank], fRouteRes, req.Phase, req.Attempt)
+	for rank, w := range c.live {
+		p, err := c.await(w, fRouteRes, req.Phase, req.Attempt)
 		if err != nil {
 			return st, err
 		}
@@ -549,77 +591,6 @@ func (c *Coordinator) MergeRoute(req engine.RouteMergeReq) (engine.RouteStats, e
 		st.HRecv = max(st.HRecv, hr)
 	}
 	return st, nil
-}
-
-// encodeMemReq builds one rank's merge request: columns filtered to the
-// rank's [lo, hi) cell range in a single pass, with the per-column entry
-// counts backpatched after the fact.
-func (c *Coordinator) encodeMemReq(req engine.MemMergeReq, lo, hi int) []byte {
-	e := &c.enc
-	e.reset(fMemReq)
-	e.u32(uint32(req.Phase))
-	e.u32(uint32(req.Attempt))
-	e.u32(uint32(req.Cells))
-	if req.Packed {
-		e.u8(1)
-	} else {
-		e.u8(0)
-	}
-	e.u32(uint32(lo))
-	e.u32(uint32(hi))
-	e.u32(uint32(len(req.Reads)))
-	for _, col := range req.Reads {
-		m := e.mark()
-		n := uint32(0)
-		for _, a := range col {
-			if int(a) >= lo && int(a) < hi {
-				e.i32(a)
-				n++
-			}
-		}
-		e.patch(m, n)
-	}
-	for _, col := range req.Writes {
-		m := e.mark()
-		n := uint32(0)
-		for _, v := range col {
-			a := v
-			if req.Packed {
-				a = v >> 1
-			}
-			if int(a) >= lo && int(a) < hi {
-				e.i32(v)
-				n++
-			}
-		}
-		e.patch(m, n)
-	}
-	return e.finish()
-}
-
-// encodeRouteReq builds one rank's routing request, destination columns
-// filtered to the rank's [lo, hi) component range.
-func (c *Coordinator) encodeRouteReq(req engine.RouteMergeReq, lo, hi int) []byte {
-	e := &c.enc
-	e.reset(fRouteReq)
-	e.u32(uint32(req.Phase))
-	e.u32(uint32(req.Attempt))
-	e.u32(uint32(req.P))
-	e.u32(uint32(lo))
-	e.u32(uint32(hi))
-	e.u32(uint32(len(req.Dsts)))
-	for _, col := range req.Dsts {
-		m := e.mark()
-		n := uint32(0)
-		for _, d := range col {
-			if int(d) >= lo && int(d) < hi {
-				e.i32(d)
-				n++
-			}
-		}
-		e.patch(m, n)
-	}
-	return e.finish()
 }
 
 // Realize implements engine.FaultRealizer: injected verdicts echo as
@@ -672,11 +643,17 @@ func (c *Coordinator) Close() error {
 	var e enc
 	e.reset(fShutdown)
 	frame := e.finish()
+	// Signal every worker before reaping any, so they exit in parallel.
 	for _, w := range workers {
 		if w == nil {
 			continue
 		}
 		writeFrame(w.conn, frame)
+		if w.cmd != nil && w.cmd.Process != nil {
+			w.cmd.Process.Kill()
+		}
+	}
+	for _, w := range workers {
 		c.killWorker(w)
 	}
 	c.ln.Close()

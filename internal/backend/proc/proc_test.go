@@ -5,6 +5,10 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -228,5 +232,77 @@ func TestCloseFailsMergesPermanently(t *testing.T) {
 	var te *engine.TransportError
 	if !errors.As(err, &te) || !te.Permanent {
 		t.Fatalf("merge after Close: err = %v, want permanent TransportError", err)
+	}
+}
+
+// TestNewKillsStartedRanksOnFailure boots three ranks through a shell
+// wrapper that records each process id; rank 1 exits without a hello.
+// New must fail naming rank 1, and must kill rank 0 (already adopted)
+// and rank 2 (started concurrently, hello never adopted).
+func TestNewKillsStartedRanksOnFailure(t *testing.T) {
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pids := t.TempDir()
+	t.Setenv("PROC_TEST_WORKER", exe)
+	t.Setenv("PROC_TEST_PIDS", pids)
+	opt := testOptions(3)
+	opt.Bin = "/bin/sh"
+	opt.Args = []string{"-c",
+		`echo $$ > "$PROC_TEST_PIDS/$REPRO_PROC_RANK"; [ "$REPRO_PROC_RANK" = 1 ] && exit 1; exec "$PROC_TEST_WORKER"`}
+	opt.LogDir = t.TempDir()
+	c, err := proc.New(opt)
+	if err == nil {
+		c.Close()
+		t.Fatal("New succeeded with rank 1 never saying hello")
+	}
+	if !strings.Contains(err.Error(), "spawn worker 1") {
+		t.Fatalf("New: err = %v, want a rank-1 spawn failure", err)
+	}
+	for _, rank := range []string{"0", "2"} {
+		raw, err := os.ReadFile(filepath.Join(pids, rank))
+		if err != nil {
+			t.Fatalf("rank %s was never started: %v", rank, err)
+		}
+		pid, err := strconv.Atoi(strings.TrimSpace(string(raw)))
+		if err != nil {
+			t.Fatalf("rank %s pid file: %v", rank, err)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for syscall.Kill(pid, 0) == nil {
+			if time.Now().After(deadline) {
+				t.Fatalf("rank %s (pid %d) still running after New failed", rank, pid)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+}
+
+// BenchmarkMergeMem times one shared-memory merge round trip — encode,
+// socket, worker merge, decode — at p = 65536 with one read per
+// processor, the shape of a parity level.
+func BenchmarkMergeMem(b *testing.B) {
+	const p = 1 << 16
+	req := engine.MemMergeReq{Cells: p, Reads: make([][]int32, p), Writes: make([][]int32, p)}
+	for i := range req.Reads {
+		req.Reads[i] = []int32{int32(i)}
+	}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("w%d", workers), func(b *testing.B) {
+			c, err := proc.New(testOptions(workers))
+			if err != nil {
+				b.Fatalf("New: %v", err)
+			}
+			defer c.Close()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				req.Phase = i
+				if _, err := c.MergeMem(req); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

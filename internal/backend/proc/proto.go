@@ -21,27 +21,37 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
+
+	"repro/internal/engine"
 )
 
 // Frame format: a 4-byte little-endian payload length, then the payload;
 // payload byte 0 is the frame type. Integers inside payloads are
 // little-endian (u32/i32/i64).
+//
+// Request frames are sparse: after their fixed header they carry run
+// sections. A section is a u32 run count, then one run per processor
+// that has at least one entry in the receiving rank's range, in strictly
+// increasing processor order: proc u32, count u32, then count i32
+// entries. A frame's size is O(entries in the rank's range), never
+// O(processors).
 const (
 	// fHello (worker → coordinator), payload: rank u32. First frame on a
 	// fresh connection.
 	fHello byte = 1
 	// fMemReq (coordinator → worker), payload: phase u32, attempt u32,
-	// cells u32, packed u8, lo u32, hi u32, nprocs u32, then nprocs read
-	// columns and nprocs write columns, each a u32 count followed by that
-	// many i32 entries. Columns arrive pre-filtered to the worker's
-	// [lo, hi) cell range.
+	// cells u32, packed u8, lo u32, hi u32, nprocs u32, then a read run
+	// section and a write run section (see above). Runs hold only the
+	// entries whose cell lies in the worker's [lo, hi) range; write
+	// entries are addr<<1 | bit when packed.
 	fMemReq byte = 2
 	// fMemRes (worker → coordinator), payload: phase u32, attempt u32,
 	// kread i64, kwrite i64, viol i32 (−1 = clean).
 	fMemRes byte = 3
 	// fRouteReq (coordinator → worker), payload: phase u32, attempt u32,
-	// p u32, lo u32, hi u32, nsenders u32, then nsenders destination
-	// columns (u32 count + i32 entries), pre-filtered to [lo, hi).
+	// p u32, lo u32, hi u32, nsenders u32, then one run section of
+	// destination entries in the worker's [lo, hi) component range.
 	fRouteReq byte = 4
 	// fRouteRes (worker → coordinator), payload: phase u32, attempt u32,
 	// hrecv i64.
@@ -145,15 +155,148 @@ func (d *dec) i64() int64 {
 func (d *dec) col(dst []int32) []int32 {
 	n := int(d.u32())
 	if d.err != nil || n < 0 || d.off+4*n > len(d.b) {
-		d.fail("column")
+		d.fail(fmt.Sprintf("column of %d entries", n))
 		return dst[:0]
 	}
-	dst = dst[:0]
-	for i := 0; i < n; i++ {
-		dst = append(dst, int32(binary.LittleEndian.Uint32(d.b[d.off+4*i:])))
+	dst = slices.Grow(dst[:0], n)[:n]
+	b := d.b[d.off : d.off+4*n]
+	for i := range dst {
+		dst[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
 	}
 	d.off += 4 * n
 	return dst
+}
+
+// rangeFor splits a space of cells (or components) into contiguous
+// per-rank slices: rank r of ranks owns [r·cells/ranks, (r+1)·cells/ranks).
+func rangeFor(rank, cells, ranks int) (lo, hi int) {
+	return rank * cells / ranks, (rank + 1) * cells / ranks
+}
+
+// rankOf is rangeFor's inverse: the rank whose slice holds cell a, for
+// 0 ≤ a < cells. It is the largest r with r·cells/ranks ≤ a, i.e.
+// ⌊((a+1)·ranks − 1) / cells⌋.
+func rankOf(a, cells, ranks int) int {
+	if ranks == 1 {
+		return 0
+	}
+	return int((int64(a+1)*int64(ranks) - 1) / int64(cells))
+}
+
+// reqFrames builds every rank's request frame for one merge in a single
+// pass over the request columns. The per-rank buffers persist across
+// merges, so steady-state encoding allocates nothing.
+type reqFrames struct {
+	encs []enc
+	open []openRun
+	// out holds each rank's finished frame (valid until the next build).
+	out [][]byte
+}
+
+// openRun is one rank's run section under construction: the offset of
+// the section's run-count slot, the runs so far, and the processor and
+// count slot of the run being extended (proc −1 = none yet).
+type openRun struct {
+	sect, runs int
+	proc, cnt  int
+	n          uint32
+}
+
+func newReqFrames(ranks int) reqFrames {
+	return reqFrames{
+		encs: make([]enc, ranks),
+		open: make([]openRun, ranks),
+		out:  make([][]byte, ranks),
+	}
+}
+
+// mem builds every rank's fMemReq frame.
+func (f *reqFrames) mem(req engine.MemMergeReq) {
+	ranks := len(f.encs)
+	var packed byte
+	var shift uint
+	if req.Packed {
+		packed, shift = 1, 1
+	}
+	for r := range f.encs {
+		lo, hi := rangeFor(r, req.Cells, ranks)
+		e := &f.encs[r]
+		e.reset(fMemReq)
+		e.u32(uint32(req.Phase))
+		e.u32(uint32(req.Attempt))
+		e.u32(uint32(req.Cells))
+		e.u8(packed)
+		e.u32(uint32(lo))
+		e.u32(uint32(hi))
+		e.u32(uint32(len(req.Reads)))
+	}
+	f.section(req.Reads, req.Cells, 0)
+	f.section(req.Writes, req.Cells, shift)
+	f.finish()
+}
+
+// route builds every rank's fRouteReq frame.
+func (f *reqFrames) route(req engine.RouteMergeReq) {
+	ranks := len(f.encs)
+	for r := range f.encs {
+		lo, hi := rangeFor(r, req.P, ranks)
+		e := &f.encs[r]
+		e.reset(fRouteReq)
+		e.u32(uint32(req.Phase))
+		e.u32(uint32(req.Attempt))
+		e.u32(uint32(req.P))
+		e.u32(uint32(lo))
+		e.u32(uint32(hi))
+		e.u32(uint32(len(req.Dsts)))
+	}
+	f.section(req.Dsts, req.P, 0)
+	f.finish()
+}
+
+// section appends one run section to every rank's frame. Each entry goes
+// to the rank owning its cell, entry>>shift; entries outside [0, cells)
+// go nowhere. Columns are visited in processor order, so each rank's
+// runs come out in strictly increasing processor order.
+func (f *reqFrames) section(cols [][]int32, cells int, shift uint) {
+	ranks := len(f.encs)
+	for r := range f.encs {
+		f.open[r] = openRun{sect: f.encs[r].mark(), proc: -1}
+	}
+	for i, col := range cols {
+		for _, v := range col {
+			a := int(v >> shift)
+			if a < 0 || a >= cells {
+				continue
+			}
+			r := rankOf(a, cells, ranks)
+			o, e := &f.open[r], &f.encs[r]
+			if o.proc != i {
+				if o.proc >= 0 {
+					e.patch(o.cnt, o.n)
+				}
+				o.proc, o.n = i, 0
+				o.runs++
+				e.u32(uint32(i))
+				o.cnt = e.mark()
+			}
+			e.i32(v)
+			o.n++
+		}
+	}
+	for r := range f.encs {
+		o, e := &f.open[r], &f.encs[r]
+		if o.proc >= 0 {
+			e.patch(o.cnt, o.n)
+		}
+		e.patch(o.sect, uint32(o.runs))
+	}
+}
+
+// finish backpatches every rank's length prefix into out.
+func (f *reqFrames) finish() {
+	for r := range f.encs {
+		f.out[r] = f.encs[r].finish()
+	}
 }
 
 // writeFrame sends one complete frame (as returned by enc.finish).

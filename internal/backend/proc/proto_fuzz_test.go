@@ -3,6 +3,8 @@ package proc
 import (
 	"bytes"
 	"testing"
+
+	"repro/internal/engine"
 )
 
 // fuzzFrame builds one wire frame from a type byte and raw payload tail,
@@ -51,33 +53,25 @@ func FuzzFrameCodec(f *testing.F) {
 	e.i64(1 << 40)
 	f.Add(append([]byte(nil), e.finish()...))
 
-	e.reset(fMemReq)
-	e.u32(1)
-	e.u32(0)
-	e.u32(8)
-	e.u8(1)
-	e.u32(0)
-	e.u32(4)
-	e.u32(2)
-	for i := 0; i < 4; i++ { // nprocs read columns + nprocs write columns
-		off := e.mark()
-		e.i32(int32(i))
-		e.i32(int32(i + 1))
-		e.patch(off, 2)
+	// Request frames as the coordinator builds them, one per rank of 2:
+	// a packed mem request over 5 processors and a route request over 8
+	// senders.
+	frames := newReqFrames(2)
+	frames.mem(engine.MemMergeReq{
+		Phase: 1, Cells: 8, Packed: true,
+		Reads:  [][]int32{{0, 1}, nil, {6}, nil, {3, 3}},
+		Writes: [][]int32{nil, {2<<1 | 1, 7 << 1}, nil, {5<<1 | 1}, nil},
+	})
+	for _, fr := range frames.out {
+		f.Add(append([]byte(nil), fr...))
 	}
-	f.Add(append([]byte(nil), e.finish()...))
-
-	e.reset(fRouteReq)
-	e.u32(5)
-	e.u32(2)
-	e.u32(4)
-	e.u32(0)
-	e.u32(8)
-	e.u32(1)
-	off := e.mark()
-	e.i32(6)
-	e.patch(off, 1)
-	f.Add(append([]byte(nil), e.finish()...))
+	frames.route(engine.RouteMergeReq{
+		Phase: 5, Attempt: 2, P: 8,
+		Dsts: [][]int32{{6}, nil, {0, 7, 1}, nil, nil, nil, nil, {4}},
+	})
+	for _, fr := range frames.out {
+		f.Add(append([]byte(nil), fr...))
+	}
 
 	e.reset(fBeat)
 	e.u32(0)
@@ -92,6 +86,10 @@ func FuzzFrameCodec(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, fMemRes})
 	// Zero length prefix.
 	f.Add([]byte{0, 0, 0, 0})
+	// Malformed run sections the worker must reject (badMemRuns).
+	for _, bad := range badMemRuns() {
+		f.Add(fuzzFrame(fMemReq, bad.tail))
+	}
 	// Duplicate headers: two frames back to back, and a payload whose
 	// first bytes themselves parse as a plausible length header.
 	f.Add(append(append([]byte(nil), hello...), memres...))
@@ -115,7 +113,9 @@ func FuzzFrameCodec(f *testing.F) {
 }
 
 // checkPayload decodes one payload under its frame type's schema and
-// enforces the dec-bounds and round-trip invariants.
+// enforces the dec-bounds and round-trip invariants. Request payloads
+// also go through the worker's decoder, which must answer or fail with
+// an error, never panic.
 func checkPayload(t *testing.T, payload []byte) {
 	t.Helper()
 	var e enc
@@ -154,7 +154,9 @@ func checkPayload(t *testing.T, payload []byte) {
 		e.u32(lo)
 		e.u32(hi)
 		e.u32(nprocs)
-		reencodeColumns(&d, &e, 2*int64(nprocs))
+		reencodeRuns(&d, &e)
+		reencodeRuns(&d, &e)
+		serveBounded(payload, lo, hi)
 	case fRouteReq:
 		phase, attempt, p := d.u32(), d.u32(), d.u32()
 		lo, hi, nsenders := d.u32(), d.u32(), d.u32()
@@ -165,7 +167,8 @@ func checkPayload(t *testing.T, payload []byte) {
 		e.u32(lo)
 		e.u32(hi)
 		e.u32(nsenders)
-		reencodeColumns(&d, &e, int64(nsenders))
+		reencodeRuns(&d, &e)
+		serveBounded(payload, lo, hi)
 	case fShutdown:
 		e.reset(fShutdown)
 	default:
@@ -181,16 +184,36 @@ func checkPayload(t *testing.T, payload []byte) {
 	}
 }
 
-// reencodeColumns drains n u32-counted i32 columns from d, mirroring
-// each into e, stopping at the first decode error.
-func reencodeColumns(d *dec, e *enc, n int64) {
+// reencodeRuns drains one run section from d — a u32 run count, then
+// (proc u32, u32-counted i32 column) runs — mirroring it into e and
+// stopping at the first decode error.
+func reencodeRuns(d *dec, e *enc) {
 	var col []int32
-	for i := int64(0); i < n && d.err == nil; i++ {
+	n := d.u32()
+	e.u32(n)
+	for i := uint32(0); i < n && d.err == nil; i++ {
+		proc := d.u32()
 		col = d.col(col)
+		e.u32(proc)
 		off := e.mark()
 		for _, v := range col {
 			e.i32(v)
 		}
 		e.patch(off, uint32(len(col)))
+	}
+}
+
+// serveBounded runs a request payload through a fresh worker's decoder.
+// The mergers allocate O(hi − lo) scratch, so ranges wider than a
+// fuzz-sized bound are skipped: their cost is allocation, not decoding.
+func serveBounded(payload []byte, lo, hi uint32) {
+	if hi < lo || hi-lo > 1<<16 {
+		return
+	}
+	var w workerState
+	if payload[0] == fMemReq {
+		w.serveMem(payload)
+	} else {
+		w.serveRoute(payload)
 	}
 }

@@ -137,49 +137,98 @@ func RunWorker(socket string, rank int, beat time.Duration) error {
 }
 
 // workerState is one worker's reusable merge scratch: the reference
-// mergers plus decoded-column storage, so steady-state merges allocate
+// mergers plus one decoded-run buffer, so steady-state merges allocate
 // nothing.
 type workerState struct {
-	mm   engine.MemMerger
-	rm   engine.RouteMerger
-	cols [][]int32
-	res  enc
+	mm  engine.MemMerger
+	rm  engine.RouteMerger
+	col []int32
+	res enc
 }
 
-// columns sizes the reusable column set to n rows starting at row base
-// and decodes one u32-counted i32 column from d into each.
-func (w *workerState) columns(d *dec, base, n int) [][]int32 {
-	for len(w.cols) < base+n {
-		w.cols = append(w.cols, nil)
+// Run sections feed the mergers: mem reads, mem writes or route
+// destinations.
+const (
+	readRuns = iota
+	writeRuns
+	dstRuns
+)
+
+// section decodes one run section — a u32 run count, then runs of
+// (proc u32, count u32, entries…) — and feeds each run to the merger
+// named by kind. It rejects a processor id outside [0, nprocs) and one
+// not strictly above the previous run's: a repeated processor would slip
+// past the mergers' per-processor dedup and double-count its requests.
+func (w *workerState) section(d *dec, nprocs, kind int, packed bool) error {
+	prev := -1
+	for i, n := 0, int(d.u32()); i < n; i++ {
+		proc := int(d.u32())
+		w.col = d.col(w.col)
+		switch {
+		case d.err != nil:
+			return d.err
+		case proc >= nprocs:
+			return fmt.Errorf("proc: run for processor %d, frame has %d processors", proc, nprocs)
+		case proc <= prev:
+			return fmt.Errorf("proc: run for processor %d follows processor %d: processor ids must strictly increase", proc, prev)
+		}
+		switch kind {
+		case readRuns:
+			w.mm.Read(proc, w.col)
+		case writeRuns:
+			w.mm.Write(proc, w.col, packed)
+		default:
+			w.rm.Send(w.col)
+		}
+		prev = proc
 	}
-	out := w.cols[base : base+n]
-	for i := range out {
-		out[i] = d.col(out[i])
+	return d.err
+}
+
+// checkRange validates a request header's owned range [lo, hi) against
+// its cell (or component) space.
+func checkRange(lo, hi, space uint32) error {
+	if lo > hi || hi > space {
+		return fmt.Errorf("proc: owned range [%d, %d) outside [0, %d)", lo, hi, space)
 	}
-	return out
+	return nil
+}
+
+// trailing rejects bytes left over after a request's last section.
+func trailing(d *dec) error {
+	if d.off != len(d.b) {
+		return fmt.Errorf("proc: %d trailing bytes after the last run section", len(d.b)-d.off)
+	}
+	return nil
 }
 
 func (w *workerState) serveMem(payload []byte) ([]byte, error) {
 	d := dec{b: payload, off: 1}
 	phase := d.u32()
 	attempt := d.u32()
-	cells := int(d.u32())
+	cells := d.u32()
 	packed := d.u8() == 1
-	lo := int(d.u32())
-	hi := int(d.u32())
+	lo := d.u32()
+	hi := d.u32()
 	nprocs := int(d.u32())
 	if d.err != nil {
 		return nil, d.err
 	}
-	req := engine.MemMergeReq{
-		Phase: int(phase), Attempt: int(attempt), Cells: cells, Packed: packed,
-		Reads:  w.columns(&d, 0, nprocs),
-		Writes: w.columns(&d, nprocs, nprocs),
+	if err := checkRange(lo, hi, cells); err != nil {
+		return nil, err
 	}
-	if d.err != nil {
-		return nil, d.err
+	w.mm.Begin(int(lo), int(hi))
+	err := w.section(&d, nprocs, readRuns, packed)
+	if err == nil {
+		err = w.section(&d, nprocs, writeRuns, packed)
 	}
-	st := w.mm.Merge(req, lo, hi)
+	if err == nil {
+		err = trailing(&d)
+	}
+	st := w.mm.End()
+	if err != nil {
+		return nil, err
+	}
 	e := &w.res
 	e.reset(fMemRes)
 	e.u32(phase)
@@ -194,21 +243,25 @@ func (w *workerState) serveRoute(payload []byte) ([]byte, error) {
 	d := dec{b: payload, off: 1}
 	phase := d.u32()
 	attempt := d.u32()
-	p := int(d.u32())
-	lo := int(d.u32())
-	hi := int(d.u32())
+	p := d.u32()
+	lo := d.u32()
+	hi := d.u32()
 	nsenders := int(d.u32())
 	if d.err != nil {
 		return nil, d.err
 	}
-	req := engine.RouteMergeReq{
-		Phase: int(phase), Attempt: int(attempt), P: p,
-		Dsts: w.columns(&d, 0, nsenders),
+	if err := checkRange(lo, hi, p); err != nil {
+		return nil, err
 	}
-	if d.err != nil {
-		return nil, d.err
+	w.rm.Begin(int(lo), int(hi))
+	err := w.section(&d, nsenders, dstRuns, false)
+	if err == nil {
+		err = trailing(&d)
 	}
-	st := w.rm.Merge(req, lo, hi)
+	st := w.rm.End()
+	if err != nil {
+		return nil, err
+	}
 	e := &w.res
 	e.reset(fRouteRes)
 	e.u32(phase)

@@ -185,110 +185,190 @@ func (c *Core) transportStatus(err error) PhaseStatus {
 // all reads are counted before all writes, so a positive count at a
 // written cell means the forbidden read+write mix, and the smallest such
 // cell is reported.
+//
+// The rules live in the run-fed API — Begin, then Read per processor,
+// then Write per processor, then End — so a caller holding only the
+// non-empty columns (a worker decoding a sparse frame) pays for the
+// requests, not for p. Merge drives the same API over dense columns.
 type MemMerger struct {
 	count, last []int32
 	touched     []int32
+
+	// lo and width describe the range of the merge in progress; st
+	// accumulates its answer.
+	lo, width int
+	st        MergeStats
 }
 
 // Merge computes the merge statistics for the cells in [lo, hi);
 // requests outside the range are ignored (the caller shards the columns
 // or passes the full space).
 func (g *MemMerger) Merge(req MemMergeReq, lo, hi int) MergeStats {
-	width := hi - lo
-	if width < 0 {
-		width = 0
+	g.Begin(lo, hi)
+	for i, col := range req.Reads {
+		if len(col) > 0 {
+			g.Read(i, col)
+		}
 	}
+	for i, col := range req.Writes {
+		if len(col) > 0 {
+			g.Write(i, col, req.Packed)
+		}
+	}
+	return g.End()
+}
+
+// Begin starts a merge over the cells in [lo, hi).
+func (g *MemMerger) Begin(lo, hi int) {
+	width := max(hi-lo, 0)
 	if len(g.count) < width {
 		g.count = make([]int32, width)
 		g.last = make([]int32, width)
 	}
-	st := MergeStats{Viol: -1}
-	touched := g.touched[:0]
-	for i, col := range req.Reads {
-		pr := int32(i) + 1
-		for _, a := range col {
-			if int(a) < lo || int(a) >= hi {
-				continue
-			}
-			x := a - int32(lo)
-			if g.last[x] == pr {
-				continue
-			}
-			g.last[x] = pr
-			if g.count[x] == 0 {
-				touched = append(touched, x)
-			}
-			g.count[x]++
-			st.KRead = max(st.KRead, int64(g.count[x]))
+	g.lo, g.width = lo, width
+	g.st = MergeStats{Viol: -1}
+	g.touched = g.touched[:0]
+}
+
+// Read counts processor proc's read addresses. Every Read of a merge
+// precedes its first Write, and each processor's reads arrive in one
+// call: the per-processor dedup mark only sees the latest processor.
+func (g *MemMerger) Read(proc int, col []int32) {
+	lo, width := g.lo, g.width
+	count, last := g.count[:width], g.last[:width]
+	touched := g.touched
+	kr := g.st.KRead
+	pr := int32(proc) + 1
+	for _, a := range col {
+		x := int(a) - lo
+		if uint(x) >= uint(width) {
+			continue
 		}
-	}
-	for i, col := range req.Writes {
-		pr := -(int32(i) + 1)
-		for _, e := range col {
-			a := e
-			if req.Packed {
-				a = e >> 1
-			}
-			if int(a) < lo || int(a) >= hi {
-				continue
-			}
-			x := a - int32(lo)
-			if g.count[x] > 0 {
-				if st.Viol < 0 || a < st.Viol {
-					st.Viol = a
-				}
-				continue
-			}
-			if g.last[x] == pr {
-				continue
-			}
-			g.last[x] = pr
-			if g.count[x] == 0 {
-				touched = append(touched, x)
-			}
-			g.count[x]--
-			st.KWrite = max(st.KWrite, int64(-g.count[x]))
+		if last[x] == pr {
+			continue
 		}
+		last[x] = pr
+		if count[x] == 0 {
+			touched = append(touched, int32(x))
+		}
+		count[x]++
+		kr = max(kr, int64(count[x]))
 	}
-	for _, x := range touched {
+	g.touched = touched
+	g.st.KRead = kr
+}
+
+// Write counts processor proc's write entries (addr<<1 | bit when
+// packed). A write to a cell with a positive (read) count is a
+// violation; the smallest such cell is kept.
+func (g *MemMerger) Write(proc int, col []int32, packed bool) {
+	lo, width := g.lo, g.width
+	count, last := g.count[:width], g.last[:width]
+	touched := g.touched
+	kw, viol := g.st.KWrite, g.st.Viol
+	pr := -(int32(proc) + 1)
+	for _, e := range col {
+		a := e
+		if packed {
+			a = e >> 1
+		}
+		x := int(a) - lo
+		if uint(x) >= uint(width) {
+			continue
+		}
+		if count[x] > 0 {
+			if viol < 0 || a < viol {
+				viol = a
+			}
+			continue
+		}
+		if last[x] == pr {
+			continue
+		}
+		last[x] = pr
+		if count[x] == 0 {
+			touched = append(touched, int32(x))
+		}
+		count[x]--
+		kw = max(kw, int64(-count[x]))
+	}
+	g.touched = touched
+	g.st.KWrite, g.st.Viol = kw, viol
+}
+
+// End returns the merge statistics and clears the touched scratch for
+// the next merge.
+func (g *MemMerger) End() MergeStats {
+	for _, x := range g.touched {
 		g.count[x] = 0
 		g.last[x] = 0
 	}
-	g.touched = touched[:0]
-	return st
+	g.touched = g.touched[:0]
+	return g.st
 }
 
 // RouteMerger is the reference routing merge: per-destination fan-in
 // counting over one contiguous component range [lo, hi), mirroring the
-// in-proc pass 2. The scratch persists across merges.
+// in-proc pass 2. Like MemMerger it is run-fed (Begin, Send per sender,
+// End) and clears only the destinations it touched, so a merge costs
+// O(messages). The scratch persists across merges.
 type RouteMerger struct {
-	recv []int64
+	recv    []int64
+	touched []int32
+
+	lo, width int
+	st        RouteStats
 }
 
 // Merge returns the maximum fan-in over destinations in [lo, hi);
 // destinations outside the range are ignored.
 func (g *RouteMerger) Merge(req RouteMergeReq, lo, hi int) RouteStats {
-	width := hi - lo
-	if width < 0 {
-		width = 0
+	g.Begin(lo, hi)
+	for _, col := range req.Dsts {
+		if len(col) > 0 {
+			g.Send(col)
+		}
 	}
+	return g.End()
+}
+
+// Begin starts a merge over the destinations in [lo, hi).
+func (g *RouteMerger) Begin(lo, hi int) {
+	width := max(hi-lo, 0)
 	if len(g.recv) < width {
 		g.recv = make([]int64, width)
-	} else {
-		for i := 0; i < width; i++ {
-			g.recv[i] = 0
+	}
+	g.lo, g.width = lo, width
+	g.st = RouteStats{}
+	g.touched = g.touched[:0]
+}
+
+// Send counts one sender's destination column.
+func (g *RouteMerger) Send(dsts []int32) {
+	lo, width := g.lo, g.width
+	recv := g.recv[:width]
+	touched := g.touched
+	hr := g.st.HRecv
+	for _, d := range dsts {
+		x := int(d) - lo
+		if uint(x) >= uint(width) {
+			continue
 		}
-	}
-	for _, col := range req.Dsts {
-		for _, d := range col {
-			if int(d) >= lo && int(d) < hi {
-				g.recv[int(d)-lo]++
-			}
+		if recv[x] == 0 {
+			touched = append(touched, int32(x))
 		}
+		recv[x]++
+		hr = max(hr, recv[x])
 	}
-	var st RouteStats
-	for i := 0; i < width; i++ {
-		st.HRecv = max(st.HRecv, g.recv[i])
+	g.touched = touched
+	g.st.HRecv = hr
+}
+
+// End returns the routing statistics and clears the touched scratch.
+func (g *RouteMerger) End() RouteStats {
+	for _, x := range g.touched {
+		g.recv[x] = 0
 	}
-	return st
+	g.touched = g.touched[:0]
+	return g.st
 }

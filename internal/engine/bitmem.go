@@ -58,7 +58,7 @@ type BitMem struct {
 	ckWords []uint64
 	// bkReads/bkWrites are the reusable column-of-columns headers handed
 	// to an attached Backend (the columns themselves are borrowed from the
-	// phase contexts).
+	// phase contexts), sized to p with the contexts.
 	bkReads, bkWrites [][]int32
 }
 
@@ -218,6 +218,10 @@ func (m *BitMem) Phase(body func(c *BitCtx)) {
 		m.ctxs = make([]*BitCtx, p)
 		for i := range m.ctxs {
 			m.ctxs[i] = &BitCtx{proc: i, m: m}
+		}
+		if m.backend != nil {
+			m.bkReads = make([][]int32, 0, p)
+			m.bkWrites = make([][]int32, 0, p)
 		}
 	}
 	workers := m.Workers()

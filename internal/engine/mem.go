@@ -59,7 +59,8 @@ type Mem[V any] struct {
 	// (last-writer-wins stores, GSM's copy-on-write Merge).
 	ckMem []V
 	// bkReads/bkWrites are the reusable column views handed to a commit
-	// backend (one borrowed slice per processor; see commitBackend).
+	// backend (one borrowed slice per processor; see commitBackend),
+	// sized to p with the contexts when a backend is attached.
 	bkReads, bkWrites [][]int32
 }
 
@@ -187,6 +188,10 @@ func (m *Mem[V]) Phase(body func(c *MemCtx[V])) {
 		m.ctxs = make([]*MemCtx[V], p)
 		for i := range m.ctxs {
 			m.ctxs[i] = &MemCtx[V]{proc: i, m: m}
+		}
+		if m.backend != nil {
+			m.bkReads = make([][]int32, 0, p)
+			m.bkWrites = make([][]int32, 0, p)
 		}
 	}
 	workers := m.phaseWorkers()

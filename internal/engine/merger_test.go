@@ -1,0 +1,183 @@
+package engine
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+)
+
+// naiveMemMerge states the shared-memory merge rules directly, with
+// sets: KRead is the most distinct readers of any cell; KWrite the most
+// distinct writers of any cell nobody read; Viol the smallest cell both
+// read and written (−1 = none).
+func naiveMemMerge(req MemMergeReq) MergeStats {
+	readers := map[int32]map[int]bool{}
+	writers := map[int32]map[int]bool{}
+	add := func(m map[int32]map[int]bool, a int32, p int) {
+		if m[a] == nil {
+			m[a] = map[int]bool{}
+		}
+		m[a][p] = true
+	}
+	for p, col := range req.Reads {
+		for _, a := range col {
+			add(readers, a, p)
+		}
+	}
+	for p, col := range req.Writes {
+		for _, e := range col {
+			if req.Packed {
+				e >>= 1
+			}
+			add(writers, e, p)
+		}
+	}
+	st := MergeStats{Viol: -1}
+	for a, rs := range readers {
+		st.KRead = max(st.KRead, int64(len(rs)))
+		if writers[a] != nil && (st.Viol < 0 || a < st.Viol) {
+			st.Viol = a
+		}
+	}
+	for a, ws := range writers {
+		if readers[a] == nil {
+			st.KWrite = max(st.KWrite, int64(len(ws)))
+		}
+	}
+	return st
+}
+
+// randomMergeReq builds a request over cells with about half the
+// processors silent, and duplicate requests within a processor.
+func randomMergeReq(rng *rand.Rand, procs, cells int, packed bool) MemMergeReq {
+	req := MemMergeReq{Cells: cells, Packed: packed}
+	for p := 0; p < procs; p++ {
+		var reads, writes []int32
+		if rng.Intn(2) == 0 {
+			for i := rng.Intn(8); i > 0; i-- {
+				reads = append(reads, int32(rng.Intn(cells)))
+			}
+			for i := rng.Intn(8); i > 0; i-- {
+				w := int32(rng.Intn(cells))
+				if packed {
+					w = w<<1 | int32(rng.Intn(2))
+				}
+				writes = append(writes, w)
+			}
+		}
+		req.Reads = append(req.Reads, reads)
+		req.Writes = append(req.Writes, writes)
+	}
+	return req
+}
+
+// runFed merges req over [lo, hi) through the run-fed API the way a
+// sparse-frame worker does: only non-empty columns, each pre-filtered to
+// the range (write entries by their unpacked cell).
+func runFed(g *MemMerger, req MemMergeReq, lo, hi int) MergeStats {
+	filter := func(col []int32, packed bool) []int32 {
+		var out []int32
+		for _, e := range col {
+			a := e
+			if packed {
+				a >>= 1
+			}
+			if int(a) >= lo && int(a) < hi {
+				out = append(out, e)
+			}
+		}
+		return out
+	}
+	g.Begin(lo, hi)
+	for p, col := range req.Reads {
+		if run := filter(col, false); len(run) > 0 {
+			g.Read(p, run)
+		}
+	}
+	for p, col := range req.Writes {
+		if run := filter(col, req.Packed); len(run) > 0 {
+			g.Write(p, run, req.Packed)
+		}
+	}
+	return g.End()
+}
+
+// TestMemMergerRunFedMatchesMerge checks, on random requests packed and
+// unpacked, that Merge over the whole space equals the set-based
+// statement of the rules, and that the run-fed API over per-rank ranges
+// — split unevenly when cells % ranks ≠ 0 — folds to the same answer.
+func TestMemMergerRunFedMatchesMerge(t *testing.T) {
+	rng := rand.New(rand.NewSource(1998))
+	var whole, fed MemMerger
+	for _, packed := range []bool{false, true} {
+		for _, ranks := range []int{1, 2, 3, 4} {
+			t.Run(fmt.Sprintf("packed%v_w%d", packed, ranks), func(t *testing.T) {
+				for trial := 0; trial < 200; trial++ {
+					cells := 1 + rng.Intn(40)
+					req := randomMergeReq(rng, 1+rng.Intn(12), cells, packed)
+					want := naiveMemMerge(req)
+					if got := whole.Merge(req, 0, cells); got != want {
+						t.Fatalf("trial %d: Merge = %+v, want %+v", trial, got, want)
+					}
+					got := MergeStats{Viol: -1}
+					for r := 0; r < ranks; r++ {
+						st := runFed(&fed, req, r*cells/ranks, (r+1)*cells/ranks)
+						got.KRead = max(got.KRead, st.KRead)
+						got.KWrite = max(got.KWrite, st.KWrite)
+						if st.Viol >= 0 && (got.Viol < 0 || st.Viol < got.Viol) {
+							got.Viol = st.Viol
+						}
+					}
+					if got != want {
+						t.Fatalf("trial %d (cells %d): run-fed over %d ranks = %+v, want %+v", trial, cells, ranks, got, want)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestRouteMergerRunFedMatchesMerge does the same for the routing merge:
+// max fan-in, counting every message.
+func TestRouteMergerRunFedMatchesMerge(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var whole, fed RouteMerger
+	for trial := 0; trial < 300; trial++ {
+		p := 1 + rng.Intn(30)
+		req := RouteMergeReq{P: p, Dsts: make([][]int32, p)}
+		recv := make([]int64, p)
+		var want RouteStats
+		for s := range req.Dsts {
+			for i := rng.Intn(6); i > 0; i-- {
+				d := rng.Intn(p)
+				req.Dsts[s] = append(req.Dsts[s], int32(d))
+				recv[d]++
+				want.HRecv = max(want.HRecv, recv[d])
+			}
+		}
+		if got := whole.Merge(req, 0, p); got != want {
+			t.Fatalf("trial %d: Merge = %+v, want %+v", trial, got, want)
+		}
+		ranks := 1 + rng.Intn(4)
+		var got RouteStats
+		for r := 0; r < ranks; r++ {
+			lo, hi := r*p/ranks, (r+1)*p/ranks
+			fed.Begin(lo, hi)
+			for _, col := range req.Dsts {
+				var run []int32
+				for _, d := range col {
+					if int(d) >= lo && int(d) < hi {
+						run = append(run, d)
+					}
+				}
+				if len(run) > 0 {
+					fed.Send(run)
+				}
+			}
+			got.HRecv = max(got.HRecv, fed.End().HRecv)
+		}
+		if got != want {
+			t.Fatalf("trial %d (p %d, %d ranks): run-fed = %+v, want %+v", trial, p, ranks, got, want)
+		}
+	}
+}

@@ -78,7 +78,7 @@ type Route[M any] struct {
 	ckInbox [][]M
 	// bkDsts is the reusable column-of-columns header handed to an
 	// attached Backend (the destination columns are borrowed from the
-	// staging buffers).
+	// staging buffers), sized to p with the staging buffers.
 	bkDsts [][]int32
 }
 
@@ -112,6 +112,9 @@ func (r *Route[M]) Superstep(body func(i int, s *Sends[M])) {
 		r.sends = make([]*Sends[M], p)
 		for i := range r.sends {
 			r.sends[i] = &Sends[M]{}
+		}
+		if r.backend != nil {
+			r.bkDsts = make([][]int32, 0, p)
 		}
 	}
 	workers := r.Workers()
