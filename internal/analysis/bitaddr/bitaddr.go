@@ -15,8 +15,9 @@
 // in a way only a large, adversarial test would notice.
 //
 // The analyzer therefore tracks packed values with a forward CFG taint:
-// reads of the packed columns (the writes/wPacked fields of
-// BitCtx/bitBuf shaped types, and ranges/indexes over them) are packed
+// reads of the packed columns (the writes field of bitArena shaped
+// types — the chunk arenas and commit buckets — and ranges/indexes over
+// them) are packed
 // sources, and a packed value may only be unpacked (>>1, &1),
 // bit-or-ed with the payload (|1), compared, copied, or appended back
 // into a packed column. Any other arithmetic or an indexing use is
@@ -53,9 +54,7 @@ var Analyzer = &analysis.Analyzer{
 // owning type (same structural matching as the other engine analyzers:
 // fixtures and future engines match without importing repro packages).
 var packedColumns = map[string]map[string]bool{
-	"BitCtx": {"writes": true},
-	"bitBuf": {"wPacked": true},
-	"BitMem": {"wPacked": true},
+	"bitArena": {"writes": true},
 }
 
 // Taint bits.
@@ -229,7 +228,7 @@ func (c *checker) taintOf(e ast.Expr, state cfg.Facts) uint64 {
 }
 
 // isPackedColumn reports whether e reads a packed write-column field
-// (directly or through one level of indexing: b.wPacked[k]).
+// (directly or through one level of indexing: a.writes[k]).
 func (c *checker) isPackedColumn(e ast.Expr) bool {
 	e = ast.Unparen(e)
 	if idx, ok := e.(*ast.IndexExpr); ok {

@@ -37,10 +37,10 @@ func keep(h *holder, b []int64) {
 
 func stash(c *MemCtx, h *holder, ch chan []int64) {
 	b := c.ReadBlock(0, 4)
-	h.ref = b    // want `"b", derived from pooled engine storage, escapes the phase via store to field ref`
-	global = b   // want `"b", derived from pooled engine storage, escapes the phase via store to package variable global`
-	ch <- b      // want `"b", derived from pooled engine storage, escapes the phase via channel send`
-	keep(h, b)   // want `"b", derived from pooled engine storage, escapes the phase via call to keep, which retains its argument`
+	h.ref = b  // want `"b", derived from pooled engine storage, escapes the phase via store to field ref`
+	global = b // want `"b", derived from pooled engine storage, escapes the phase via store to package variable global`
+	ch <- b    // want `"b", derived from pooled engine storage, escapes the phase via channel send`
+	keep(h, b) // want `"b", derived from pooled engine storage, escapes the phase via call to keep, which retains its argument`
 }
 
 func leak(c *MemCtx) []int64 {
@@ -79,4 +79,29 @@ func spawn(c *MemCtx, h *holder, run func(func())) {
 func recycle(m *Mem, b []int64) {
 	m.free = b
 	_ = m.free
+}
+
+// memArena mirrors the engine's per-chunk request arena: its columns
+// are pooled and rewritten by the next phase.
+type memArena struct {
+	rAddr []int32
+}
+
+type colHolder struct {
+	cols []int32
+}
+
+// keepReads retains a chunk's read column past the phase.
+func keepReads(a *memArena, h *colHolder) {
+	h.cols = a.rAddr // want `field rAddr, derived from pooled engine storage, escapes the phase via store to field cols`
+}
+
+// runOf returns a sub-slice of the column: still a borrow.
+func runOf(a *memArena, j, k int) []int32 {
+	return a.rAddr[j:k] // want `column sub-slice, derived from pooled engine storage, escapes the phase via return value`
+}
+
+// countReads only reads the column: no escape.
+func countReads(a *memArena) int {
+	return len(a.rAddr)
 }

@@ -1,7 +1,8 @@
 // Package commitpurity guards the engine's sharded-merge invariant: the
 // internal state of the commit engines (engine.Mem, engine.Route, their
-// scratch buffers and per-processor contexts) may be written only from
-// the two-pass commit entry points and the request-recording methods.
+// scratch buffers, per-chunk request arenas and per-processor contexts)
+// may be written only from the two-pass commit entry points and the
+// request-recording methods.
 //
 // The determinism proof of the parallel phase commit (DESIGN.md §4) rests
 // on a closed-world argument: request buckets are filled in ascending
@@ -47,7 +48,9 @@ var Analyzer = &analysis.Analyzer{
 // ensure), the per-processor request recorders (MemCtx/BitCtx and Sends
 // methods, per-cell and batch alike — a batch recorder appends to the
 // same struct-of-arrays columns as its per-cell twin, so it is part of
-// the same contract), and the fault-injection/recovery machinery (InjectFaults
+// the same contract; MemCtx/BitCtx record into their chunk's arena, so
+// the recorders are the arena's writers too, next to the chunk loop in
+// Phase and the arena's own begin/truncate), and the fault-injection/recovery machinery (InjectFaults
 // attachment, the barrier-side consult/accounting, and the
 // checkpoint/rollback/corruption path — all of which run on the
 // coordinating goroutine, see fault.go). Everything else must go through
@@ -56,14 +59,16 @@ var allowedWriters = map[string]map[string]bool{
 	"Core": set("Init", "RunPhase", "RecordErr", "AddObserver", "observePhaseStart",
 		"InjectFaults", "consultInjector", "noteCommitted", "chargeRecovery",
 		"ckCore", "rewindCore", "retriesExhausted"),
-	"Mem":    set("InitMem", "Grow", "Phase", "Checkpoint", "Rollback", "corruptCell", "commit"),
+	"Mem":    set("InitMem", "Grow", "Phase", "Checkpoint", "Rollback", "corruptCell"),
 	"memBuf": set("ensure", "commit", "finish"),
-	"MemCtx": set("Read", "Write", "Op", "failf", "reset",
-		"ReadBlock", "ReadBatch", "WriteBlock", "WriteFill", "WriteBatch", "Submit"),
+	"memArena": set("Phase", "begin", "truncate", "commit",
+		"Read", "Write", "ReadBlock", "ReadBatch", "WriteBlock", "WriteFill", "WriteBatch", "Submit"),
+	"MemCtx": set("Phase", "Op", "failf"),
 	"BitMem": set("InitBits", "Grow", "SetBit", "Phase", "Checkpoint", "Rollback",
 		"corruptCell", "finish"),
 	"bitBuf":   set("ensure", "commit", "finish"),
-	"BitCtx":   set("Read", "ReadWord", "Write", "Op", "failf", "reset"),
+	"bitArena": set("Phase", "begin", "truncate", "commit", "Read", "ReadWord", "Write"),
+	"BitCtx":   set("Phase", "Op", "failf"),
 	"Route":    set("InitRoute", "Superstep", "commit", "Checkpoint", "Rollback", "corruptInbox"),
 	"routeBuf": set("ensure", "commit"),
 	"Sends":    set("AddWork", "Stage", "Fail", "reset", "StageBatch"),

@@ -81,42 +81,70 @@ func (b *memBuf) sneak() {
 	(b.touched)[1] = true      // want `engine\.memBuf\.touched written in sneak, outside the commit entry points`
 }
 
-// MemCtx mirrors the per-processor request recorder with its
-// struct-of-arrays columns; the batch recorders (ReadBlock, WriteBatch,
-// Submit, …) are sanctioned writers exactly like their per-cell twins.
+// memArena mirrors the per-chunk request arena with its struct-of-arrays
+// columns; MemCtx records into the arena of its chunk, and the batch
+// recorders (ReadBlock, WriteBatch, Submit, …) are sanctioned writers
+// exactly like their per-cell twins.
+type memArena struct {
+	rAddr, rProc []int32
+	wAddr, wProc []int32
+	wVal         []int64
+	mOp          int64
+}
+
 type MemCtx struct {
-	reads      int64
-	readAddrs  []int32
-	writeAddrs []int32
-	writeVals  []int64
+	proc int
+	ops  int64
+	a    *memArena
 }
 
 func (c *MemCtx) Read(a int32) {
-	c.reads++
-	c.readAddrs = append(c.readAddrs, a)
+	c.a.rAddr = append(c.a.rAddr, a)
 }
 
 func (c *MemCtx) ReadBlock(a int32, k int) {
-	c.reads += int64(k)
 	for i := 0; i < k; i++ {
-		c.readAddrs = append(c.readAddrs, a+int32(i))
+		c.a.rAddr = append(c.a.rAddr, a+int32(i))
 	}
 }
 
 func (c *MemCtx) WriteBatch(addrs []int32, vals []int64) {
-	c.writeAddrs = append(c.writeAddrs, addrs...)
-	c.writeVals = append(c.writeVals, vals...)
+	c.a.wAddr = append(c.a.wAddr, addrs...)
+	c.a.wVal = append(c.a.wVal, vals...)
 }
 
 func (c *MemCtx) Submit(reads, writes []int32, vals []int64) {
-	c.reads += int64(len(reads))
-	c.readAddrs = append(c.readAddrs, reads...)
-	c.writeAddrs = append(c.writeAddrs, writes...)
-	c.writeVals = append(c.writeVals, vals...)
+	c.a.rAddr = append(c.a.rAddr, reads...)
+	c.a.wAddr = append(c.a.wAddr, writes...)
+	c.a.wVal = append(c.a.wVal, vals...)
+}
+
+func (c *MemCtx) Op(k int) {
+	c.ops += int64(k)
 }
 
 func (c *MemCtx) bulkPoke(addrs []int32) {
-	c.readAddrs = append(c.readAddrs, addrs...) // want `engine\.MemCtx\.readAddrs written in bulkPoke, outside the commit entry points`
+	c.a.rAddr = append(c.a.rAddr, addrs...) // want `engine\.memArena\.rAddr written in bulkPoke, outside the commit entry points`
+	c.proc = 0                              // want `engine\.MemCtx\.proc written in bulkPoke, outside the commit entry points`
+}
+
+// begin and truncate are the arena's own resets; Phase stamps the
+// processor column and folds the chunk maxima.
+func (a *memArena) begin() {
+	a.truncate()
+	a.mOp = 0
+}
+
+func (a *memArena) truncate() {
+	a.rAddr, a.rProc = a.rAddr[:0], a.rProc[:0]
+	a.wAddr, a.wProc, a.wVal = a.wAddr[:0], a.wProc[:0], a.wVal[:0]
+}
+
+// rewrite edits a recorded request after the body returned: an arena
+// column mutated outside the recorders and the commit pipeline.
+func (a *memArena) rewrite(j int, addr int32) {
+	a.wAddr[j] = addr // want `engine\.memArena\.wAddr written in rewrite, outside the commit entry points`
+	a.mOp++           // want `engine\.memArena\.mOp written in rewrite, outside the commit entry points`
 }
 
 // BitMem and BitCtx mirror the bit-packed engine: word-level storage,
@@ -138,39 +166,41 @@ func (m *BitMem) SetBit(addr int) {
 func (m *BitMem) finish(addr int) {
 	// finish both applies packed writes and drains the scratch: clean.
 	m.words[addr>>6] &^= 1 << (uint(addr) & 63)
-	m.cb.wPacked = m.cb.wPacked[:0]
+	m.cb.touched = m.cb.touched[:0]
 }
 
 func (m *BitMem) hotPatch(addr int) {
 	m.words[addr>>6] = 0            // want `engine\.BitMem\.words written in hotPatch, outside the commit entry points`
-	m.cb.wPacked = m.cb.wPacked[:0] // want `engine\.bitBuf\.wPacked written in hotPatch, outside the commit entry points`
+	m.cb.touched = m.cb.touched[:0] // want `engine\.bitBuf\.touched written in hotPatch, outside the commit entry points`
 }
 
-type BitCtx struct {
-	wrs    int64
+type bitArena struct {
 	writes []int32
 }
 
+type BitCtx struct {
+	a *bitArena
+}
+
 func (c *BitCtx) Write(addr int32, bit bool) {
-	c.wrs++
 	p := addr << 1
 	if bit {
 		p |= 1
 	}
-	c.writes = append(c.writes, p)
+	c.a.writes = append(c.a.writes, p)
 }
 
 func (c *BitCtx) replay(ws []int32) {
-	c.writes = ws // want `engine\.BitCtx\.writes written in replay, outside the commit entry points`
+	c.a.writes = ws // want `engine\.bitArena\.writes written in replay, outside the commit entry points`
 }
 
 type bitBuf struct {
-	wPacked []int32
+	touched []int32
 }
 
 func (b *bitBuf) ensure(n int) {
-	if cap(b.wPacked) < n {
-		b.wPacked = make([]int32, 0, n)
+	if cap(b.touched) < n {
+		b.touched = make([]int32, 0, n)
 	}
 }
 

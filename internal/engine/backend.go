@@ -31,8 +31,8 @@ import (
 // Permanent set), which poisons the machine diagnosably.
 
 // MemMergeReq is one shared-memory barrier merge: the per-processor
-// request columns of the phase attempt, borrowed from the engine's phase
-// contexts (valid only for the duration of the MergeMem call).
+// request columns of the phase attempt, borrowed from the engine's chunk
+// arenas (valid only for the duration of the MergeMem call).
 type MemMergeReq struct {
 	// Phase is the zero-based index the phase would commit as; Attempt
 	// the 1-based attempt counter. Both are diagnostic — the merge result
@@ -52,8 +52,8 @@ type MemMergeReq struct {
 // MergeStats is the shared-memory merge answer: the paper's per-cell
 // contention maxima (processors per cell, deduplicated per processor) and
 // the smallest cell that was both read and written this phase (−1 =
-// none). MaxOps/MaxRW stay coordinator-side — they never leave the phase
-// contexts.
+// none). MaxOps/MaxRW stay coordinator-side — they never leave the chunk
+// arenas.
 type MergeStats struct {
 	KRead, KWrite int64
 	// Viol is the smallest violating cell address, −1 for a clean phase.

@@ -5,7 +5,7 @@ import "fmt"
 // Batch submission API of the shared-memory and routing engines.
 //
 // The per-phase request buffers are struct-of-arrays (parallel address /
-// value / processor columns — see MemCtx and memBuf), so enqueuing a
+// value / processor columns — see memArena and memBuf), so enqueuing a
 // whole slice of requests is a bounds-check pass plus one append per
 // column. The per-cell Read/Write calls remain as thin wrappers over the
 // same columns; a batch call records exactly the request sequence the
@@ -62,8 +62,7 @@ func (c *MemCtx[V]) ReadBlock(addr, k int) []V {
 		c.failf("read block out of range: cells [%d,%d) of %d", addr, addr+k, len(c.m.mem))
 		return nil
 	}
-	c.reads += int64(k)
-	c.readAddrs = appendSeq(c.readAddrs, int32(addr), k)
+	c.a.rAddr = appendSeq(c.a.rAddr, int32(addr), k)
 	return c.m.mem[addr : addr+k] //lint:colescape-ok documented borrow point: ReadBlock returns a phase-scoped view; callers are policed at their use sites
 }
 
@@ -77,8 +76,7 @@ func (c *MemCtx[V]) ReadBatch(addrs []int32, dst []V) []V {
 			return dst
 		}
 	}
-	c.reads += int64(len(addrs))
-	c.readAddrs = append(c.readAddrs, addrs...)
+	c.a.rAddr = append(c.a.rAddr, addrs...)
 	dst = growCap(dst, len(addrs))
 	for _, a := range addrs {
 		dst = append(dst, mem[a])
@@ -94,9 +92,8 @@ func (c *MemCtx[V]) WriteBlock(addr int, vals []V) {
 		c.failf("write block out of range: cells [%d,%d) of %d", addr, addr+k, len(c.m.mem))
 		return
 	}
-	c.wrs += int64(k)
-	c.writeAddrs = appendSeq(c.writeAddrs, int32(addr), k)
-	c.writeVals = append(c.writeVals, vals...)
+	c.a.wAddr = appendSeq(c.a.wAddr, int32(addr), k)
+	c.a.wVal = append(c.a.wVal, vals...)
 }
 
 // WriteFill queues writes of val to the k consecutive cells
@@ -106,11 +103,10 @@ func (c *MemCtx[V]) WriteFill(addr, k int, val V) {
 		c.failf("write fill out of range: cells [%d,%d) of %d", addr, addr+k, len(c.m.mem))
 		return
 	}
-	c.wrs += int64(k)
-	c.writeAddrs = appendSeq(c.writeAddrs, int32(addr), k)
-	c.writeVals = growCap(c.writeVals, k)
+	c.a.wAddr = appendSeq(c.a.wAddr, int32(addr), k)
+	c.a.wVal = growCap(c.a.wVal, k)
 	for i := 0; i < k; i++ {
-		c.writeVals = append(c.writeVals, val)
+		c.a.wVal = append(c.a.wVal, val)
 	}
 }
 
@@ -127,9 +123,8 @@ func (c *MemCtx[V]) WriteBatch(addrs []int32, vals []V) {
 			return
 		}
 	}
-	c.wrs += int64(len(addrs))
-	c.writeAddrs = append(c.writeAddrs, addrs...)
-	c.writeVals = append(c.writeVals, vals...)
+	c.a.wAddr = append(c.a.wAddr, addrs...)
+	c.a.wVal = append(c.a.wVal, vals...)
 }
 
 // Submit enqueues a whole request bundle in one bounds-checked append
@@ -153,11 +148,9 @@ func (c *MemCtx[V]) Submit(b Batch[V]) {
 			return
 		}
 	}
-	c.reads += int64(len(b.Reads))
-	c.readAddrs = append(c.readAddrs, b.Reads...)
-	c.wrs += int64(len(b.Writes))
-	c.writeAddrs = append(c.writeAddrs, b.Writes...)
-	c.writeVals = append(c.writeVals, b.Vals...)
+	c.a.rAddr = append(c.a.rAddr, b.Reads...)
+	c.a.wAddr = append(c.a.wAddr, b.Writes...)
+	c.a.wVal = append(c.a.wVal, b.Vals...)
 }
 
 // StageBatch queues len(dsts) messages in one append per column:

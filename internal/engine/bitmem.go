@@ -49,16 +49,16 @@ type BitMem struct {
 	words []uint64
 	nbits int
 
-	// ctxs is the per-machine free list of phase contexts, one per
-	// processor, reset and reused every phase.
-	ctxs []*BitCtx
+	// arenas holds one request arena per phase chunk, indexed by the
+	// sched.Blocks block index (see Mem.arenas).
+	arenas []*bitArena
 	// cb holds the reusable scratch of the sharded commit pipeline.
 	cb bitBuf
 	// ckWords is the word-level memory snapshot of the last Checkpoint.
 	ckWords []uint64
 	// bkReads/bkWrites are the reusable column-of-columns headers handed
 	// to an attached Backend (the columns themselves are borrowed from the
-	// phase contexts), sized to p with the contexts.
+	// chunk arenas), sized to p with the arenas.
 	bkReads, bkWrites [][]int32
 }
 
@@ -101,36 +101,69 @@ func (m *BitMem) SetBit(addr int, v bool) {
 }
 
 // Grow extends the shared memory to at least size bits (zero valued).
+// As for Mem.Grow, the word count is exact and capacity grows
+// geometrically.
 func (m *BitMem) Grow(size int) error {
 	if size > maxBitCells {
 		return fmt.Errorf("%s: bit memory of %d cells exceeds the %d-cell address space",
 			m.model.Prefix(), size, maxBitCells)
 	}
-	if size > m.nbits {
-		m.nbits = size
-		if nw := (size + 63) / 64; nw > len(m.words) {
-			grown := make([]uint64, nw)
-			copy(grown, m.words)
-			m.words = grown
-		}
+	if size <= m.nbits {
+		return nil
+	}
+	m.nbits = size
+	nw := (size + 63) / 64
+	switch {
+	case nw <= len(m.words):
+	case nw <= cap(m.words):
+		n := len(m.words)
+		m.words = m.words[:nw]
+		clear(m.words[n:])
+	default:
+		grown := make([]uint64, nw, max(nw, 2*cap(m.words)))
+		copy(grown, m.words)
+		m.words = grown
 	}
 	return nil
 }
 
-// BitCtx is the per-processor handle available inside a phase of a
-// bit-valued machine. It is not safe to share a BitCtx across
-// processors.
-type BitCtx struct {
-	proc  int
-	m     *BitMem
-	reads int64
-	wrs   int64
-	ops   int64
-
-	readAddrs []int32
+// bitArena is memArena for the packed representation: the request
+// storage of one phase chunk, with the write column packed as
+// addr<<1 | bit. It is also the pass-1 bucket type of the word-sharded
+// commit; with a single shard the chunk arenas are the buckets.
+type bitArena struct {
+	rAddr, rProc []int32
 	// writes is the packed write column: addr<<1 | bit.
-	writes []int32
-	fail   error
+	writes, wProc []int32
+	// lo and hi bound the chunk's processor range [lo, hi).
+	lo, hi int
+	// Folded chunk maxima, as in memArena.
+	mOp, mRW int64
+	ctx      BitCtx
+}
+
+// begin empties the arena for a new dispatch of the chunk [lo, hi).
+func (a *bitArena) begin(lo, hi int) {
+	a.truncate()
+	a.lo, a.hi = lo, hi
+	a.mOp, a.mRW = 0, 0
+}
+
+// truncate empties the request columns, keeping their capacity.
+func (a *bitArena) truncate() {
+	a.rAddr, a.rProc = a.rAddr[:0], a.rProc[:0]
+	a.writes, a.wProc = a.writes[:0], a.wProc[:0]
+}
+
+// BitCtx is the per-processor handle available inside a phase of a
+// bit-valued machine. Like MemCtx it is valid only during its
+// processor's body call and must not be retained or shared.
+type BitCtx struct {
+	proc int
+	m    *BitMem
+	a    *bitArena
+	ops  int64
+	fail error
 }
 
 // Proc returns this processor's index in [0, P).
@@ -144,8 +177,7 @@ func (c *BitCtx) Read(addr int) bool {
 		c.failf("read out of range: cell %d of %d", addr, c.m.nbits)
 		return false
 	}
-	c.reads++
-	c.readAddrs = append(c.readAddrs, int32(addr))
+	c.a.rAddr = append(c.a.rAddr, int32(addr))
 	return c.m.words[addr>>6]>>(uint(addr)&63)&1 == 1
 }
 
@@ -158,8 +190,7 @@ func (c *BitCtx) ReadWord(addr, k int) uint64 {
 		c.failf("read word out of range: cells [%d,%d) of %d", addr, addr+k, c.m.nbits)
 		return 0
 	}
-	c.reads += int64(k)
-	c.readAddrs = appendSeq(c.readAddrs, int32(addr), k)
+	c.a.rAddr = appendSeq(c.a.rAddr, int32(addr), k)
 	lo := uint(addr) & 63
 	w := c.m.words[addr>>6] >> lo
 	if rest := 64 - int(lo); k > rest {
@@ -178,12 +209,11 @@ func (c *BitCtx) Write(addr int, bit bool) {
 		c.failf("write out of range: cell %d of %d", addr, c.m.nbits)
 		return
 	}
-	c.wrs++
 	p := int32(addr) << 1
 	if bit {
 		p |= 1
 	}
-	c.writes = append(c.writes, p)
+	c.a.writes = append(c.a.writes, p)
 }
 
 // Op charges k units of local computation.
@@ -200,13 +230,6 @@ func (c *BitCtx) failf(format string, args ...any) {
 	}
 }
 
-func (c *BitCtx) reset() {
-	c.reads, c.wrs, c.ops = 0, 0, 0
-	c.readAddrs = c.readAddrs[:0]
-	c.writes = c.writes[:0]
-	c.fail = nil
-}
-
 // Phase runs one bulk-synchronous phase over the bit memory; the
 // lifecycle is identical to Mem.Phase.
 func (m *BitMem) Phase(body func(c *BitCtx)) {
@@ -214,30 +237,39 @@ func (m *BitMem) Phase(body func(c *BitCtx)) {
 		return
 	}
 	p := m.P()
-	if m.ctxs == nil {
-		m.ctxs = make([]*BitCtx, p)
-		for i := range m.ctxs {
-			m.ctxs[i] = &BitCtx{proc: i, m: m}
+	workers := m.Workers()
+	if m.arenas == nil {
+		m.arenas = make([]*bitArena, sched.NumBlocks(workers, p))
+		for w := range m.arenas {
+			a := &bitArena{}
+			a.ctx.m, a.ctx.a = m, a
+			m.arenas[w] = a
 		}
 		if m.backend != nil {
 			m.bkReads = make([][]int32, 0, p)
 			m.bkWrites = make([][]int32, 0, p)
 		}
 	}
-	workers := m.Workers()
 	if m.InjectorActive() {
 		m.Checkpoint()
 	}
-	m.RunPhase(workers, p, func(lo, hi int) (int32, error) {
+	m.RunPhase(workers, p, func(w, lo, hi int) (int32, error) {
+		a := m.arenas[w]
+		a.begin(lo, hi)
+		c := &a.ctx
 		var nf int32
 		var first error
 		for i := lo; i < hi; i++ {
-			c := m.ctxs[i]
-			c.reset()
 			if m.CrashedProc(i) {
 				continue
 			}
+			r0, w0 := len(a.rAddr), len(a.writes)
+			c.proc, c.ops, c.fail = i, 0, nil
 			body(c)
+			a.rProc = fillProc(a.rProc, len(a.rAddr), int32(i))
+			a.wProc = fillProc(a.wProc, len(a.writes), int32(i))
+			a.mOp = max(a.mOp, c.ops)
+			a.mRW = max(a.mRW, int64(len(a.rAddr)-r0), int64(len(a.writes)-w0))
 			if c.fail != nil {
 				if first == nil {
 					first = c.fail
@@ -293,12 +325,9 @@ func (m *BitMem) ForAll(active int, body func(c *BitCtx)) {
 // bitBuf is the reusable scratch of the bit memory's sharded phase
 // commit — memBuf with a packed write column and word-space sharding.
 type bitBuf struct {
-	// Pass-1 buckets, indexed [chunk*numShards + shard]. wPacked holds
-	// addr<<1 | bit.
-	rAddr, rProc   [][]int32
-	wPacked, wProc [][]int32
-	// Per-chunk local-cost maxima.
-	mOp, mRW []int64
+	// Pass-1 buckets, indexed [chunk*numShards + shard]. Unused with a
+	// single shard, where the chunk arenas are the buckets.
+	bk []bitArena
 	// Per-shard contention maxima and smallest violating cell (−1 = none).
 	kr, kw []int64
 	viol   []int32
@@ -307,32 +336,25 @@ type bitBuf struct {
 	touched     [][]int32
 }
 
-// ensure sizes the scratch and returns the word-space sharding and the
-// number of pass-1 merge chunks.
-func (b *bitBuf) ensure(nbits, nwords, workers, p int) (sh sched.Sharding, nm int) {
-	nm = sched.NumBlocks(workers, p)
-	sh = sched.NewSharding(nwords, workers)
-	if nb := nm * sh.N; len(b.rAddr) < nb {
-		b.rAddr = growSlices(b.rAddr, nb)
-		b.rProc = growSlices(b.rProc, nb)
-		b.wPacked = growSlices(b.wPacked, nb) //lint:bitaddr-ok pool growth of the outer column-of-columns; packed elements only enter via the staged appends below
-		b.wProc = growSlices(b.wProc, nb)
-	}
-	if len(b.mOp) < nm {
-		b.mOp = make([]int64, nm) //lint:hotpathalloc-ok amortized scratch growth to the high-water mark; steady-state commits do not allocate
-		b.mRW = make([]int64, nm) //lint:hotpathalloc-ok amortized scratch growth to the high-water mark; steady-state commits do not allocate
+// ensure sizes the scratch for nm pass-1 chunks and returns the
+// word-space sharding; the per-bit scratch grows geometrically.
+func (b *bitBuf) ensure(nbits, nwords, workers, nm int) sched.Sharding {
+	sh := sched.NewSharding(nwords, workers)
+	if sh.N > 1 {
+		b.bk = growLen(b.bk, nm*sh.N)
 	}
 	if len(b.kr) < sh.N {
 		b.kr = make([]int64, sh.N)   //lint:hotpathalloc-ok amortized scratch growth to the high-water mark; steady-state commits do not allocate
 		b.kw = make([]int64, sh.N)   //lint:hotpathalloc-ok amortized scratch growth to the high-water mark; steady-state commits do not allocate
 		b.viol = make([]int32, sh.N) //lint:hotpathalloc-ok amortized scratch growth to the high-water mark; steady-state commits do not allocate
-		b.touched = growSlices(b.touched, sh.N)
+		b.touched = growLen(b.touched, sh.N)
 	}
 	if len(b.count) < nbits {
-		b.count = make([]int32, nbits) //lint:hotpathalloc-ok amortized scratch growth to the high-water mark; steady-state commits do not allocate
-		b.last = make([]int32, nbits)  //lint:hotpathalloc-ok amortized scratch growth to the high-water mark; steady-state commits do not allocate
+		n := max(nbits, 2*len(b.count))
+		b.count = make([]int32, n) //lint:hotpathalloc-ok amortized scratch growth to the high-water mark; steady-state commits do not allocate
+		b.last = make([]int32, n)  //lint:hotpathalloc-ok amortized scratch growth to the high-water mark; steady-state commits do not allocate
 	}
-	return sh, nm
+	return sh
 }
 
 // commit is Mem.commit for the packed representation: the same two
@@ -344,33 +366,31 @@ func (m *BitMem) commit(workers int) PhaseStatus {
 	if m.backend != nil {
 		return m.commitBackend()
 	}
-	ctxs := m.ctxs
+	arenas := m.arenas
+	nm := len(arenas)
 	b := &m.cb
-	sh, nm := b.ensure(m.nbits, len(m.words), workers, len(ctxs))
+	sh := b.ensure(m.nbits, len(m.words), workers, nm)
 	ns := sh.N
 
-	// Pass 1: per-chunk cost maxima + requests bucketed by word shard.
-	sched.Blocks(workers, len(ctxs), func(w, lo, hi int) { //lint:hotpathalloc-ok per-commit worker closure: one fixed-size capture per fan-out
-		var mOp, mRW int64
-		base := w * ns
-		for i := lo; i < hi; i++ {
-			c := ctxs[i]
-			mOp = max(mOp, c.ops)
-			mRW = max(mRW, c.reads, c.wrs)
-			proc := int32(i)
-			for _, a := range c.readAddrs {
-				k := base + sh.Shard(a>>6)
-				b.rAddr[k] = append(b.rAddr[k], a)
-				b.rProc[k] = append(b.rProc[k], proc)
+	// Pass 1: requests bucketed by word shard.
+	if ns > 1 {
+		sched.Blocks(workers, nm, func(_, lo, hi int) { //lint:hotpathalloc-ok per-commit worker closure: one fixed-size capture per fan-out
+			for w := lo; w < hi; w++ {
+				a := arenas[w]
+				bk := b.bk[w*ns : (w+1)*ns]
+				for j, addr := range a.rAddr {
+					k := &bk[sh.Shard(addr>>6)]
+					k.rAddr = append(k.rAddr, addr)
+					k.rProc = append(k.rProc, a.rProc[j])
+				}
+				for j, pk := range a.writes {
+					k := &bk[sh.Shard((pk>>1)>>6)]
+					k.writes = append(k.writes, pk)
+					k.wProc = append(k.wProc, a.wProc[j])
+				}
 			}
-			for _, pk := range c.writes {
-				k := base + sh.Shard((pk>>1)>>6)
-				b.wPacked[k] = append(b.wPacked[k], pk)
-				b.wProc[k] = append(b.wProc[k], proc)
-			}
-		}
-		b.mOp[w], b.mRW[w] = mOp, mRW
-	})
+		})
+	}
 
 	// Pass 2: per-shard contention counting and violation detection,
 	// exactly memBuf's rules over bit addresses.
@@ -380,9 +400,12 @@ func (m *BitMem) commit(workers int) PhaseStatus {
 			viol := int32(-1)
 			touched := b.touched[s][:0]
 			for w := 0; w < nm; w++ {
-				k := w*ns + s
-				procs := b.rProc[k]
-				for j, a := range b.rAddr[k] {
+				k := arenas[w]
+				if ns > 1 {
+					k = &b.bk[w*ns+s]
+				}
+				procs := k.rProc
+				for j, a := range k.rAddr {
 					pr := procs[j] + 1
 					if b.last[a] == pr {
 						continue
@@ -396,9 +419,12 @@ func (m *BitMem) commit(workers int) PhaseStatus {
 				}
 			}
 			for w := 0; w < nm; w++ {
-				k := w*ns + s
-				procs := b.wProc[k]
-				for j, pk := range b.wPacked[k] {
+				k := arenas[w]
+				if ns > 1 {
+					k = &b.bk[w*ns+s]
+				}
+				procs := k.wProc
+				for j, pk := range k.writes {
 					a := pk >> 1
 					if b.count[a] > 0 {
 						if viol < 0 || a < viol {
@@ -424,9 +450,9 @@ func (m *BitMem) commit(workers int) PhaseStatus {
 	})
 
 	var mOp, mRW int64
-	for w := 0; w < nm; w++ {
-		mOp = max(mOp, b.mOp[w])
-		mRW = max(mRW, b.mRW[w])
+	for _, a := range arenas {
+		mOp = max(mOp, a.mOp)
+		mRW = max(mRW, a.mRW)
 	}
 	var kr, kw int64
 	violAddr := int32(-1)
@@ -440,7 +466,7 @@ func (m *BitMem) commit(workers int) PhaseStatus {
 	if violAddr >= 0 {
 		m.RecordErr(fmt.Errorf("%w: cell %d both read and written in phase %d", //lint:hotpathalloc-ok violation path: formats once, then the machine is poisoned
 			m.model.Violation(), violAddr, m.Report().NumPhases()))
-		m.finish(workers, nm, ns, false)
+		m.finish(workers, ns, false)
 		return PhaseAborted
 	}
 
@@ -454,11 +480,11 @@ func (m *BitMem) commit(workers int) PhaseStatus {
 				m.RecordErr(fmt.Errorf("%s: phase %d: %w", //lint:hotpathalloc-ok violation path: formats once, then the machine is poisoned
 					m.model.Prefix(), m.Report().NumPhases(), v.Err))
 			}
-			m.finish(workers, nm, ns, false)
+			m.finish(workers, ns, false)
 			return PhaseAborted
 		case FaultTransient:
 			m.chargePhase(Outcome{MaxOps: mOp, MaxRW: mRW, KRead: kr, KWrite: kw})
-			m.finish(workers, nm, ns, true)
+			m.finish(workers, ns, true)
 			m.corruptCell(v.Addr)
 			m.Rollback()
 			return PhaseRetry
@@ -469,7 +495,7 @@ func (m *BitMem) commit(workers int) PhaseStatus {
 	if m.Observing() {
 		m.emitRequests()
 	}
-	m.finish(workers, nm, ns, true)
+	m.finish(workers, ns, true)
 	m.observePhaseEnd(pc)
 	return PhaseCommitted
 }
@@ -477,18 +503,17 @@ func (m *BitMem) commit(workers int) PhaseStatus {
 // commitBackend is BitMem's commit barrier when a Backend is attached:
 // Mem.commitBackend for the packed representation. Write columns ship
 // packed (addr<<1 | bit, Packed set) and the apply unpacks them per
-// processor in ascending order — the same last-writer-wins winner at
+// chunk arena in ascending order — the same last-writer-wins winner at
 // every bit as the sharded word-space replay.
 func (m *BitMem) commitBackend() PhaseStatus {
-	ctxs := m.ctxs
 	var mOp, mRW int64
 	reads := m.bkReads[:0]
 	writes := m.bkWrites[:0]
-	for _, c := range ctxs {
-		mOp = max(mOp, c.ops)
-		mRW = max(mRW, c.reads, c.wrs)
-		reads = append(reads, c.readAddrs)
-		writes = append(writes, c.writes)
+	for _, a := range m.arenas {
+		mOp = max(mOp, a.mOp)
+		mRW = max(mRW, a.mRW)
+		reads = procRuns(reads, a.rAddr, a.rProc, a.lo, a.hi)
+		writes = procRuns(writes, a.writes, a.wProc, a.lo, a.hi)
 	}
 	m.bkReads, m.bkWrites = reads, writes //lint:commitpurity-ok column-header scratch pooled by the commit barrier itself; commitBackend is the backend-path commit entry point
 	st, err := m.backend.MergeMem(MemMergeReq{
@@ -535,16 +560,16 @@ func (m *BitMem) commitBackend() PhaseStatus {
 }
 
 // applyCtxWrites commits the phase's packed writes straight from the
-// processor contexts in ascending processor order (the backend path's
-// replacement for the word-sharded replay).
+// chunk arenas in chunk order (the backend path's replacement for the
+// word-sharded replay).
 func (m *BitMem) applyCtxWrites() {
-	for _, c := range m.ctxs {
-		for _, pk := range c.writes {
-			a := pk >> 1
+	for _, a := range m.arenas {
+		for _, pk := range a.writes {
+			addr := pk >> 1
 			if pk&1 == 1 {
-				m.words[a>>6] |= 1 << (uint32(a) & 63) //lint:commitpurity-ok the backend path's apply half: called only from commitBackend inside the barrier
+				m.words[addr>>6] |= 1 << (uint32(addr) & 63) //lint:commitpurity-ok the backend path's apply half: called only from commitBackend inside the barrier
 			} else {
-				m.words[a>>6] &^= 1 << (uint32(a) & 63) //lint:commitpurity-ok the backend path's apply half: called only from commitBackend inside the barrier
+				m.words[addr>>6] &^= 1 << (uint32(addr) & 63) //lint:commitpurity-ok the backend path's apply half: called only from commitBackend inside the barrier
 			}
 		}
 	}
@@ -560,33 +585,45 @@ func bitPayload(bit bool) string {
 }
 
 // emitRequests renders the phase's requests as observer events, grouped
-// by ascending processor and in issue order, before the writes apply.
+// by ascending processor (reads before writes) and in issue order,
+// before the writes apply.
 func (m *BitMem) emitRequests() {
-	for i, c := range m.ctxs {
-		for _, a := range c.readAddrs {
-			m.observeRequest(Request{Proc: i, Kind: KindRead, Addr: a,
-				Payload: bitPayload(m.words[a>>6]>>(uint32(a)&63)&1 == 1)})
-		}
-		for _, pk := range c.writes {
-			m.observeRequest(Request{Proc: i, Kind: KindWrite, Addr: pk >> 1,
-				Payload: bitPayload(pk&1 == 1)})
+	for _, a := range m.arenas {
+		ri, wi := 0, 0
+		for ri < len(a.rProc) || wi < len(a.wProc) {
+			proc := nextProc(a.rProc, ri, a.wProc, wi)
+			for ; ri < len(a.rProc) && a.rProc[ri] == proc; ri++ {
+				addr := a.rAddr[ri]
+				m.observeRequest(Request{Proc: int(proc), Kind: KindRead, Addr: addr,
+					Payload: bitPayload(m.words[addr>>6]>>(uint32(addr)&63)&1 == 1)})
+			}
+			for ; wi < len(a.wProc) && a.wProc[wi] == proc; wi++ {
+				pk := a.writes[wi]
+				m.observeRequest(Request{Proc: int(proc), Kind: KindWrite, Addr: pk >> 1,
+					Payload: bitPayload(pk&1 == 1)})
+			}
 		}
 	}
 }
 
-// finish applies the phase's writes (unless aborted) and zeroes the
+// finish applies the phase's writes (unless aborted) and empties the
 // scratch, in parallel over word shards. Buckets hold requests in
 // ascending processor order and replay in chunk order, so the winner at
 // each bit is the final write of the highest-numbered processor — the
 // same last-writer-wins outcome as the word-valued engine.
-func (m *BitMem) finish(workers, nm, ns int, applyWrites bool) {
+func (m *BitMem) finish(workers, ns int, applyWrites bool) {
 	b := &m.cb
+	arenas := m.arenas
+	nm := len(arenas)
 	sched.Blocks(workers, ns, func(_, slo, shi int) { //lint:hotpathalloc-ok per-commit worker closure: one fixed-size capture per fan-out
 		for s := slo; s < shi; s++ {
 			for w := 0; w < nm; w++ {
-				k := w*ns + s
+				k := arenas[w]
+				if ns > 1 {
+					k = &b.bk[w*ns+s]
+				}
 				if applyWrites {
-					for _, pk := range b.wPacked[k] {
+					for _, pk := range k.writes {
 						a := pk >> 1
 						if pk&1 == 1 {
 							m.words[a>>6] |= 1 << (uint32(a) & 63)
@@ -595,10 +632,7 @@ func (m *BitMem) finish(workers, nm, ns int, applyWrites bool) {
 						}
 					}
 				}
-				b.rAddr[k] = b.rAddr[k][:0]
-				b.rProc[k] = b.rProc[k][:0]
-				b.wPacked[k] = b.wPacked[k][:0]
-				b.wProc[k] = b.wProc[k][:0]
+				k.truncate()
 			}
 			for _, a := range b.touched[s] {
 				b.count[a] = 0

@@ -9,8 +9,9 @@
 //     budget, per-chunk failure tallies, machine-error poisoning, the
 //     accumulated cost.Report, and the Observer hook.
 //   - Mem[V] is the shared-memory phase engine (QSM family and GSM,
-//     generic over the write payload): per-processor request contexts on
-//     a free list, the two-pass sharded commit with contention counting
+//     generic over the write payload): per-chunk request arenas (one
+//     struct-of-arrays column set per worker chunk, not one context per
+//     processor), the two-pass sharded commit with contention counting
 //     and read+write violation detection, and deterministic write
 //     application.
 //   - Route[M] is the message-routing superstep engine (BSP, generic
@@ -25,8 +26,9 @@
 //
 // Determinism contract: every result observable through a machine —
 // memory contents, cost reports, traces, and the Observer event stream —
-// is byte-identical for every Workers setting. Request buckets are filled
-// in ascending processor order and replayed in ascending chunk order, and
+// is byte-identical for every Workers setting. Request arenas and buckets
+// are filled in ascending processor order and replayed in ascending chunk
+// order, and
 // all observer events are emitted from the coordinating goroutine.
 package engine
 
@@ -193,7 +195,9 @@ const (
 // model's commit. chunk runs the bodies of processors [lo, hi) inline
 // (keeping the per-processor loop free of dispatch overhead) and reports
 // its failure tally: how many bodies failed and the first failure in
-// processor order. Callers must check Err before invoking (an erred
+// processor order. w is the chunk's sched.Blocks block index, stable
+// across phases for a fixed (workers, p), so engines can key per-chunk
+// storage on it. Callers must check Err before invoking (an erred
 // machine skips phases entirely).
 //
 // A commit that returns PhaseRetry (transient fault, already rolled back
@@ -203,7 +207,7 @@ const (
 // re-execution idempotent. Poisoning always routes through RecordErr, so
 // the first recorded error is stable: repeated Err() calls and
 // post-failure phase attempts observe the same wrapped chain.
-func (c *Core) RunPhase(workers, p int, chunk func(lo, hi int) (int32, error), commit func() PhaseStatus) {
+func (c *Core) RunPhase(workers, p int, chunk func(w, lo, hi int) (int32, error), commit func() PhaseStatus) {
 	c.attempt = 1
 	for {
 		c.observePhaseStart()
@@ -213,7 +217,7 @@ func (c *Core) RunPhase(workers, p int, chunk func(lo, hi int) (int32, error), c
 			c.failE = make([]error, nb)
 		}
 		sched.Blocks(workers, p, func(w, lo, hi int) {
-			c.failN[w], c.failE[w] = chunk(lo, hi)
+			c.failN[w], c.failE[w] = chunk(w, lo, hi)
 		})
 		// Failed processors short-circuit the commit: nothing is counted
 		// and nothing commits. The first error in processor order wins

@@ -47,10 +47,11 @@ type Mem[V any] struct {
 	model MemModel[V]
 	mem   []V
 
-	// ctxs is the per-machine free list of phase contexts: one per
-	// processor, reset and reused every phase so request buffers keep
-	// their capacity instead of being reallocated O(p) times per phase.
-	ctxs []*MemCtx[V]
+	// arenas holds one request arena per phase chunk, indexed by the
+	// sched.Blocks block index. A phase records every request into the
+	// arena of its processor's chunk, so the host objects a machine keeps
+	// grow with the worker budget, not with p.
+	arenas []*memArena[V]
 	// cb holds the reusable scratch of the sharded commit pipeline.
 	cb memBuf[V]
 	// ckMem is the memory snapshot of the last Checkpoint (reused across
@@ -60,7 +61,7 @@ type Mem[V any] struct {
 	ckMem []V
 	// bkReads/bkWrites are the reusable column views handed to a commit
 	// backend (one borrowed slice per processor; see commitBackend),
-	// sized to p with the contexts when a backend is attached.
+	// sized to p with the arenas when a backend is attached.
 	bkReads, bkWrites [][]int32
 }
 
@@ -82,28 +83,83 @@ func (m *Mem[V]) MemSize() int { return len(m.mem) }
 
 // Grow extends the shared memory to at least size cells (zero valued).
 // Growing memory is free in the models: it allocates address space, not
-// work.
+// work. The length is exact; capacity grows geometrically, so an
+// algorithm that grows its memory once per tree level reallocates
+// O(log levels) times, not once per level.
 func (m *Mem[V]) Grow(size int) {
-	if size > len(m.mem) {
-		grown := make([]V, size)
-		copy(grown, m.mem)
-		m.mem = grown
+	if size <= len(m.mem) {
+		return
 	}
+	if size <= cap(m.mem) {
+		n := len(m.mem)
+		m.mem = m.mem[:size]
+		clear(m.mem[n:])
+		return
+	}
+	grown := make([]V, size, max(size, 2*cap(m.mem)))
+	copy(grown, m.mem)
+	m.mem = grown
 }
 
-// MemCtx is the per-processor handle available inside a phase. It is not
-// safe to share a MemCtx across processors.
-type MemCtx[V any] struct {
-	proc  int
-	m     *Mem[V]
-	reads int64
-	wrs   int64
-	ops   int64
+// memArena is the request storage of one phase chunk: struct-of-arrays
+// columns holding the reads (address, issuing processor) and writes
+// (address, processor, value) of the chunk's processors, in ascending
+// processor order and, per processor, in issue order. The chunk loop
+// folds the chunk's local-cost maxima into the arena, and the arena's
+// one MemCtx is reset for each processor in turn, so no per-processor
+// state outlives the processor's body call.
+//
+// memArena is also the pass-1 bucket type of the sharded commit (only
+// the columns are used there): with a single address shard the chunk
+// arenas are the buckets and nothing is copied.
+type memArena[V any] struct {
+	rAddr, rProc []int32
+	wAddr, wProc []int32
+	wVal         []V
+	// lo and hi bound the chunk's processor range [lo, hi).
+	lo, hi int
+	// mOp and mRW are the chunk's maxima of local work and of requests
+	// per processor.
+	mOp, mRW int64
+	ctx      MemCtx[V]
+}
 
-	readAddrs  []int32
-	writeAddrs []int32
-	writeVals  []V
-	fail       error
+// begin empties the arena for a new dispatch of the chunk [lo, hi).
+func (a *memArena[V]) begin(lo, hi int) {
+	a.truncate()
+	a.lo, a.hi = lo, hi
+	a.mOp, a.mRW = 0, 0
+}
+
+// truncate empties the request columns, keeping their capacity.
+func (a *memArena[V]) truncate() {
+	a.rAddr, a.rProc = a.rAddr[:0], a.rProc[:0]
+	a.wAddr, a.wProc, a.wVal = a.wAddr[:0], a.wProc[:0], a.wVal[:0]
+}
+
+// fillProc extends the processor column to length n with proc: the
+// recorders append addresses only, and the chunk loop stamps the
+// issuing processor on its run once the body returns.
+func fillProc(col []int32, n int, proc int32) []int32 {
+	col = growCap(col, n-len(col))
+	for len(col) < n {
+		col = append(col, proc)
+	}
+	return col
+}
+
+// MemCtx is the per-processor handle available inside a phase. It is
+// valid only during its processor's body call: the engine reuses one
+// context for every processor of a chunk, so a body must not retain it
+// or share it with another processor.
+type MemCtx[V any] struct {
+	proc int
+	m    *Mem[V]
+	// a is the arena of the chunk the processor belongs to; the
+	// recorders append to its columns.
+	a    *memArena[V]
+	ops  int64
+	fail error
 }
 
 // Proc returns this processor's index in [0, P).
@@ -124,8 +180,7 @@ func (c *MemCtx[V]) Read(addr int) V {
 		var zero V
 		return zero
 	}
-	c.reads++
-	c.readAddrs = append(c.readAddrs, int32(addr))
+	c.a.rAddr = append(c.a.rAddr, int32(addr))
 	return c.m.mem[addr] //lint:colescape-ok single-cell read: engine instantiations use scalar V, so the cell is returned by value
 }
 
@@ -136,9 +191,8 @@ func (c *MemCtx[V]) Write(addr int, val V) {
 		c.failf("write out of range: cell %d of %d", addr, len(c.m.mem))
 		return
 	}
-	c.wrs++
-	c.writeAddrs = append(c.writeAddrs, int32(addr))
-	c.writeVals = append(c.writeVals, val)
+	c.a.wAddr = append(c.a.wAddr, int32(addr))
+	c.a.wVal = append(c.a.wVal, val)
 }
 
 // Op charges k units of local computation (free under cost rules that
@@ -154,14 +208,6 @@ func (c *MemCtx[V]) failf(format string, args ...any) {
 		c.fail = fmt.Errorf("%s: proc %d: "+format, //lint:hotpathalloc-ok abort path: formats once, then the context is poisoned
 			append([]any{c.m.model.Prefix(), c.proc}, args...)...)
 	}
-}
-
-func (c *MemCtx[V]) reset() {
-	c.reads, c.wrs, c.ops = 0, 0, 0
-	c.readAddrs = c.readAddrs[:0]
-	c.writeAddrs = c.writeAddrs[:0]
-	c.writeVals = c.writeVals[:0]
-	c.fail = nil
 }
 
 // phaseWorkers returns the effective worker count for this machine's p
@@ -184,33 +230,42 @@ func (m *Mem[V]) Phase(body func(c *MemCtx[V])) {
 		return
 	}
 	p := m.P()
-	if m.ctxs == nil {
-		m.ctxs = make([]*MemCtx[V], p)
-		for i := range m.ctxs {
-			m.ctxs[i] = &MemCtx[V]{proc: i, m: m}
+	workers := m.phaseWorkers()
+	if m.arenas == nil {
+		m.arenas = make([]*memArena[V], sched.NumBlocks(workers, p))
+		for w := range m.arenas {
+			a := &memArena[V]{}
+			a.ctx.m, a.ctx.a = m, a
+			m.arenas[w] = a
 		}
 		if m.backend != nil {
 			m.bkReads = make([][]int32, 0, p)
 			m.bkWrites = make([][]int32, 0, p)
 		}
 	}
-	workers := m.phaseWorkers()
 	if m.InjectorActive() {
 		m.Checkpoint()
 	}
-	m.RunPhase(workers, p, func(lo, hi int) (int32, error) {
+	m.RunPhase(workers, p, func(w, lo, hi int) (int32, error) {
+		a := m.arenas[w]
+		a.begin(lo, hi)
+		c := &a.ctx
 		var nf int32
 		var first error
 		for i := lo; i < hi; i++ {
-			c := m.ctxs[i]
-			c.reset()
 			if m.CrashedProc(i) {
 				// Masked processors idle: no body, no requests. The
 				// crash flag is written at the previous phase's barrier,
 				// so masking is visible here race-free.
 				continue
 			}
+			r0, w0 := len(a.rAddr), len(a.wAddr)
+			c.proc, c.ops, c.fail = i, 0, nil
 			body(c)
+			a.rProc = fillProc(a.rProc, len(a.rAddr), int32(i))
+			a.wProc = fillProc(a.wProc, len(a.wAddr), int32(i))
+			a.mOp = max(a.mOp, c.ops)
+			a.mRW = max(a.mRW, int64(len(a.rAddr)-r0), int64(len(a.wAddr)-w0))
 			if c.fail != nil {
 				if first == nil {
 					first = c.fail
@@ -269,18 +324,15 @@ func (m *Mem[V]) ForAll(active int, body func(c *MemCtx[V])) {
 }
 
 // memBuf is the reusable scratch of the sharded phase commit. Requests
-// are first bucketed by address shard (one bucket per merge-chunk ×
-// shard, filled in processor order), then each shard is counted and
-// resolved independently over its private slice of the address-space
-// scratch arrays. Everything is retained across phases, so a steady-state
-// phase allocates nothing here.
+// are first bucketed by address shard (one bucket per chunk × shard,
+// filled in processor order), then each shard is counted and resolved
+// independently over its private slice of the address-space scratch
+// arrays. Everything is retained across phases, so a steady-state phase
+// allocates nothing here.
 type memBuf[V any] struct {
-	// Pass-1 buckets, indexed [chunk*numShards + shard].
-	rAddr, rProc [][]int32
-	wAddr, wProc [][]int32
-	wVal         [][]V
-	// Per-chunk local-cost maxima.
-	mOp, mRW []int64
+	// Pass-1 buckets, indexed [chunk*numShards + shard]. Unused with a
+	// single shard, where the chunk arenas are the buckets.
+	bk []memArena[V]
 	// Per-shard contention maxima and smallest violating cell (−1 = none).
 	kr, kw []int64
 	viol   []int32
@@ -291,82 +343,77 @@ type memBuf[V any] struct {
 	touched     [][]int32
 }
 
-// ensure sizes the scratch for the current memory size and returns the
-// sharding and the number of pass-1 merge chunks.
-func (b *memBuf[V]) ensure(memSize, workers, p int) (sh sched.Sharding, nm int) {
-	nm = sched.NumBlocks(workers, p)
-	sh = sched.NewSharding(memSize, workers)
-	if nb := nm * sh.N; len(b.rAddr) < nb {
-		b.rAddr = growSlices(b.rAddr, nb)
-		b.rProc = growSlices(b.rProc, nb)
-		b.wAddr = growSlices(b.wAddr, nb)
-		b.wProc = growSlices(b.wProc, nb)
-		b.wVal = growSlices(b.wVal, nb)
-	}
-	if len(b.mOp) < nm {
-		b.mOp = make([]int64, nm) //lint:hotpathalloc-ok amortized scratch growth to the high-water mark; steady-state commits do not allocate
-		b.mRW = make([]int64, nm) //lint:hotpathalloc-ok amortized scratch growth to the high-water mark; steady-state commits do not allocate
+// ensure sizes the scratch for the current memory size and nm pass-1
+// chunks and returns the sharding. The address-space scratch grows
+// geometrically, so memory that grows level by level reallocates it
+// O(log levels) times.
+func (b *memBuf[V]) ensure(memSize, workers, nm int) sched.Sharding {
+	sh := sched.NewSharding(memSize, workers)
+	if sh.N > 1 {
+		b.bk = growLen(b.bk, nm*sh.N)
 	}
 	if len(b.kr) < sh.N {
 		b.kr = make([]int64, sh.N)   //lint:hotpathalloc-ok amortized scratch growth to the high-water mark; steady-state commits do not allocate
 		b.kw = make([]int64, sh.N)   //lint:hotpathalloc-ok amortized scratch growth to the high-water mark; steady-state commits do not allocate
 		b.viol = make([]int32, sh.N) //lint:hotpathalloc-ok amortized scratch growth to the high-water mark; steady-state commits do not allocate
-		b.touched = growSlices(b.touched, sh.N)
+		b.touched = growLen(b.touched, sh.N)
 	}
 	if len(b.count) < memSize {
-		b.count = make([]int32, memSize) //lint:hotpathalloc-ok amortized scratch growth to the high-water mark; steady-state commits do not allocate
-		b.last = make([]int32, memSize)  //lint:hotpathalloc-ok amortized scratch growth to the high-water mark; steady-state commits do not allocate
+		n := max(memSize, 2*len(b.count))
+		b.count = make([]int32, n) //lint:hotpathalloc-ok amortized scratch growth to the high-water mark; steady-state commits do not allocate
+		b.last = make([]int32, n)  //lint:hotpathalloc-ok amortized scratch growth to the high-water mark; steady-state commits do not allocate
 	}
-	return sh, nm
+	return sh
 }
 
-func growSlices[T any](s [][]T, n int) [][]T {
+// growLen extends s with zero elements to length at least n.
+func growLen[T any](s []T, n int) []T {
+	var zero T
 	for len(s) < n {
-		s = append(s, nil)
+		s = append(s, zero)
 	}
 	return s
 }
 
-// commit merges per-processor buffers, validates access rules, consults
-// the fault injector, charges the phase and applies writes. The merge
-// runs in two parallel passes: bucket requests by address shard (over
-// processor chunks), then count contention, resolve winners and detect
-// violations per shard. Results are identical for every Workers setting:
-// buckets are filled in processor order and scanned in chunk order, and
-// the injector consult happens exactly once per attempt on the
-// coordinating goroutine.
+// commit merges the chunk arenas, validates access rules, consults the
+// fault injector, charges the phase and applies writes. The merge runs
+// in two parallel passes: bucket requests by address shard (over
+// chunks; skipped with one shard, where the arenas are the buckets),
+// then count contention, resolve winners and detect violations per
+// shard. Results are identical for every Workers setting: arenas and
+// buckets hold requests in processor order and are scanned in chunk
+// order, and the injector consult happens exactly once per attempt on
+// the coordinating goroutine.
 func (m *Mem[V]) commit(workers int) PhaseStatus {
 	if m.backend != nil {
 		return m.commitBackend()
 	}
-	ctxs := m.ctxs
+	arenas := m.arenas
+	nm := len(arenas)
 	b := &m.cb
-	sh, nm := b.ensure(len(m.mem), workers, len(ctxs))
+	sh := b.ensure(len(m.mem), workers, nm)
 	ns := sh.N
 
-	// Pass 1: per-chunk cost maxima + requests bucketed by address shard.
-	sched.Blocks(workers, len(ctxs), func(w, lo, hi int) { //lint:hotpathalloc-ok per-commit worker closure: one fixed-size capture per fan-out
-		var mOp, mRW int64
-		base := w * ns
-		for i := lo; i < hi; i++ {
-			c := ctxs[i]
-			mOp = max(mOp, c.ops)
-			mRW = max(mRW, c.reads, c.wrs)
-			proc := int32(i)
-			for _, a := range c.readAddrs {
-				k := base + sh.Shard(a)
-				b.rAddr[k] = append(b.rAddr[k], a)
-				b.rProc[k] = append(b.rProc[k], proc)
+	// Pass 1: requests bucketed by address shard.
+	if ns > 1 {
+		sched.Blocks(workers, nm, func(_, lo, hi int) { //lint:hotpathalloc-ok per-commit worker closure: one fixed-size capture per fan-out
+			for w := lo; w < hi; w++ {
+				a := arenas[w]
+				bk := b.bk[w*ns : (w+1)*ns]
+				for j, addr := range a.rAddr {
+					k := &bk[sh.Shard(addr)]
+					k.rAddr = append(k.rAddr, addr)
+					k.rProc = append(k.rProc, a.rProc[j])
+				}
+				for j, addr := range a.wAddr {
+					k := &bk[sh.Shard(addr)]
+					k.wAddr = append(k.wAddr, addr)
+					k.wProc = append(k.wProc, a.wProc[j])
+					k.wVal = append(k.wVal, a.wVal[j])
+				}
 			}
-			for j, a := range c.writeAddrs {
-				k := base + sh.Shard(a)
-				b.wAddr[k] = append(b.wAddr[k], a)
-				b.wProc[k] = append(b.wProc[k], proc)
-				b.wVal[k] = append(b.wVal[k], c.writeVals[j])
-			}
-		}
-		b.mOp[w], b.mRW[w] = mOp, mRW
-	})
+		})
+	}
 
 	// Pass 2: per-shard contention counting and violation detection.
 	// Contention is the number of *processors* accessing a cell (paper
@@ -380,9 +427,12 @@ func (m *Mem[V]) commit(workers int) PhaseStatus {
 			viol := int32(-1)
 			touched := b.touched[s][:0]
 			for w := 0; w < nm; w++ {
-				k := w*ns + s
-				procs := b.rProc[k]
-				for j, a := range b.rAddr[k] {
+				k := arenas[w]
+				if ns > 1 {
+					k = &b.bk[w*ns+s]
+				}
+				procs := k.rProc
+				for j, a := range k.rAddr {
 					pr := procs[j] + 1
 					if b.last[a] == pr {
 						continue
@@ -396,9 +446,12 @@ func (m *Mem[V]) commit(workers int) PhaseStatus {
 				}
 			}
 			for w := 0; w < nm; w++ {
-				k := w*ns + s
-				procs := b.wProc[k]
-				for j, a := range b.wAddr[k] {
+				k := arenas[w]
+				if ns > 1 {
+					k = &b.bk[w*ns+s]
+				}
+				procs := k.wProc
+				for j, a := range k.wAddr {
 					if b.count[a] > 0 {
 						if viol < 0 || a < viol {
 							viol = a
@@ -423,9 +476,9 @@ func (m *Mem[V]) commit(workers int) PhaseStatus {
 	})
 
 	var mOp, mRW int64
-	for w := 0; w < nm; w++ {
-		mOp = max(mOp, b.mOp[w])
-		mRW = max(mRW, b.mRW[w])
+	for _, a := range arenas {
+		mOp = max(mOp, a.mOp)
+		mRW = max(mRW, a.mRW)
 	}
 	var kr, kw int64
 	violAddr := int32(-1)
@@ -439,7 +492,7 @@ func (m *Mem[V]) commit(workers int) PhaseStatus {
 	if violAddr >= 0 {
 		m.RecordErr(fmt.Errorf("%w: cell %d both read and written in phase %d", //lint:hotpathalloc-ok violation path: formats once, then the machine is poisoned
 			m.model.Violation(), violAddr, m.Report().NumPhases()))
-		m.finish(workers, nm, ns, false)
+		m.finish(workers, ns, false)
 		return PhaseAborted
 	}
 
@@ -458,7 +511,7 @@ func (m *Mem[V]) commit(workers int) PhaseStatus {
 				m.RecordErr(fmt.Errorf("%s: phase %d: %w", //lint:hotpathalloc-ok violation path: formats once, then the machine is poisoned
 					m.model.Prefix(), m.Report().NumPhases(), v.Err))
 			}
-			m.finish(workers, nm, ns, false)
+			m.finish(workers, ns, false)
 			return PhaseAborted
 		case FaultTransient:
 			// The fault fires after the commit applies: charge, let the
@@ -467,7 +520,7 @@ func (m *Mem[V]) commit(workers int) PhaseStatus {
 			// The aborted attempt emits no Request and no PhaseEnd
 			// events, per the Observer contract.
 			m.chargePhase(Outcome{MaxOps: mOp, MaxRW: mRW, KRead: kr, KWrite: kw})
-			m.finish(workers, nm, ns, true)
+			m.finish(workers, ns, true)
 			m.corruptCell(v.Addr)
 			m.Rollback()
 			return PhaseRetry
@@ -478,31 +531,31 @@ func (m *Mem[V]) commit(workers int) PhaseStatus {
 	if m.Observing() {
 		m.emitRequests()
 	}
-	m.finish(workers, nm, ns, true)
+	m.finish(workers, ns, true)
 	m.observePhaseEnd(pc)
 	return PhaseCommitted
 }
 
 // commitBackend is the commit barrier when a Backend is attached: the
-// request columns are handed (borrowed, ascending processor order) to
-// the backend for contention counting and violation detection, and the
-// value-carrying half of the barrier — charging, observer emission and
-// the write apply — stays here. Writes apply per processor in ascending
-// order, which commits the same winner at every cell as the built-in
-// bucket replay (last write of the highest-numbered processor; merging
-// Applies are order-insensitive). A failed merge schedules a phase retry
-// or poisons the machine per transportStatus; nothing was charged or
-// applied, so state is already consistent.
+// request columns are handed (borrowed, one run per processor in
+// ascending processor order) to the backend for contention counting and
+// violation detection, and the value-carrying half of the barrier —
+// charging, observer emission and the write apply — stays here. Writes
+// apply per chunk arena in ascending order, which commits the same
+// winner at every cell as the built-in bucket replay (last write of the
+// highest-numbered processor; merging Applies are order-insensitive). A
+// failed merge schedules a phase retry or poisons the machine per
+// transportStatus; nothing was charged or applied, so state is already
+// consistent.
 func (m *Mem[V]) commitBackend() PhaseStatus {
-	ctxs := m.ctxs
 	var mOp, mRW int64
 	reads := m.bkReads[:0]
 	writes := m.bkWrites[:0]
-	for _, c := range ctxs {
-		mOp = max(mOp, c.ops)
-		mRW = max(mRW, c.reads, c.wrs)
-		reads = append(reads, c.readAddrs)
-		writes = append(writes, c.writeAddrs)
+	for _, a := range m.arenas {
+		mOp = max(mOp, a.mOp)
+		mRW = max(mRW, a.mRW)
+		reads = procRuns(reads, a.rAddr, a.rProc, a.lo, a.hi)
+		writes = procRuns(writes, a.wAddr, a.wProc, a.lo, a.hi)
 	}
 	m.bkReads, m.bkWrites = reads, writes //lint:commitpurity-ok column-header scratch pooled by the commit barrier itself; commitBackend is the backend-path commit entry point
 	st, err := m.backend.MergeMem(MemMergeReq{
@@ -548,56 +601,94 @@ func (m *Mem[V]) commitBackend() PhaseStatus {
 	return PhaseCommitted
 }
 
-// applyCtxWrites commits the phase's writes straight from the processor
-// contexts in ascending processor order (the backend path's replacement
-// for the sharded bucket replay).
+// procRuns appends one column per processor in [lo, hi) to dst: the run
+// of col issued by that processor, found through the parallel processor
+// column (ascending, so each run is contiguous). Processors without
+// requests get an empty run. The runs alias col.
+func procRuns(dst [][]int32, col, procs []int32, lo, hi int) [][]int32 {
+	j := 0
+	for i := lo; i < hi; i++ {
+		k := j
+		for k < len(procs) && procs[k] == int32(i) {
+			k++
+		}
+		dst = append(dst, col[j:k:k])
+		j = k
+	}
+	return dst
+}
+
+// applyCtxWrites commits the phase's writes straight from the chunk
+// arenas in chunk order (the backend path's replacement for the sharded
+// bucket replay). Each arena holds its writes in ascending processor
+// order, so one Apply per arena keeps the replay contract.
 func (m *Mem[V]) applyCtxWrites() {
-	for _, c := range m.ctxs {
-		if len(c.writeAddrs) > 0 {
-			m.model.Apply(m.mem, c.writeAddrs, c.writeVals)
+	for _, a := range m.arenas {
+		if len(a.wAddr) > 0 {
+			m.model.Apply(m.mem, a.wAddr, a.wVal)
 		}
 	}
 }
 
+// nextProc returns the lowest processor with requests left in the read
+// column from ri on or the write column from wi on; one of them must
+// have some.
+func nextProc(rProc []int32, ri int, wProc []int32, wi int) int32 {
+	switch {
+	case ri == len(rProc):
+		return wProc[wi]
+	case wi == len(wProc):
+		return rProc[ri]
+	}
+	return min(rProc[ri], wProc[wi])
+}
+
 // emitRequests renders the phase's requests as observer events, grouped
-// by ascending processor and in issue order. It runs before the writes
-// apply, so read payloads render the start-of-phase contents the readers
-// actually observed.
+// by ascending processor (reads before writes) and in issue order. It
+// runs before the writes apply, so read payloads render the
+// start-of-phase contents the readers actually observed.
 func (m *Mem[V]) emitRequests() {
-	for i, c := range m.ctxs {
-		for _, a := range c.readAddrs {
-			m.observeRequest(Request{Proc: i, Kind: KindRead, Addr: a,
-				Payload: m.model.Render(m.mem[a])})
-		}
-		for j, a := range c.writeAddrs {
-			m.observeRequest(Request{Proc: i, Kind: KindWrite, Addr: a,
-				Payload: m.model.Render(c.writeVals[j])})
+	for _, a := range m.arenas {
+		ri, wi := 0, 0
+		for ri < len(a.rProc) || wi < len(a.wProc) {
+			proc := nextProc(a.rProc, ri, a.wProc, wi)
+			for ; ri < len(a.rProc) && a.rProc[ri] == proc; ri++ {
+				addr := a.rAddr[ri]
+				m.observeRequest(Request{Proc: int(proc), Kind: KindRead, Addr: addr,
+					Payload: m.model.Render(m.mem[addr])})
+			}
+			for ; wi < len(a.wProc) && a.wProc[wi] == proc; wi++ {
+				m.observeRequest(Request{Proc: int(proc), Kind: KindWrite, Addr: a.wAddr[wi],
+					Payload: m.model.Render(a.wVal[wi])})
+			}
 		}
 	}
 }
 
 // finish applies the phase's writes (unless aborted by a violation) via
-// the model's Apply and zeroes the scratch for the next phase, both in
+// the model's Apply and empties the scratch for the next phase, both in
 // parallel over shards. Buckets hold requests in ascending processor
 // order and are replayed in chunk order, giving Apply its deterministic
-// replay contract.
-func (m *Mem[V]) finish(workers, nm, ns int, applyWrites bool) {
+// replay contract. With several shards the chunk arenas are not
+// buckets; begin empties them at the next dispatch.
+func (m *Mem[V]) finish(workers, ns int, applyWrites bool) {
 	b := &m.cb
+	arenas := m.arenas
+	nm := len(arenas)
 	sched.Blocks(workers, ns, func(_, slo, shi int) { //lint:hotpathalloc-ok per-commit worker closure: one fixed-size capture per fan-out
 		for s := slo; s < shi; s++ {
 			for w := 0; w < nm; w++ {
-				k := w*ns + s
-				if len(b.wAddr[k]) > 0 {
-					if applyWrites {
-						m.model.Apply(m.mem, b.wAddr[k], b.wVal[k])
-					}
-					m.model.Scrub(b.wVal[k])
+				k := arenas[w]
+				if ns > 1 {
+					k = &b.bk[w*ns+s]
 				}
-				b.rAddr[k] = b.rAddr[k][:0]
-				b.rProc[k] = b.rProc[k][:0]
-				b.wAddr[k] = b.wAddr[k][:0]
-				b.wProc[k] = b.wProc[k][:0]
-				b.wVal[k] = b.wVal[k][:0]
+				if len(k.wAddr) > 0 {
+					if applyWrites {
+						m.model.Apply(m.mem, k.wAddr, k.wVal)
+					}
+					m.model.Scrub(k.wVal)
+				}
+				k.truncate()
 			}
 			for _, a := range b.touched[s] {
 				b.count[a] = 0

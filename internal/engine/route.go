@@ -121,7 +121,7 @@ func (r *Route[M]) Superstep(body func(i int, s *Sends[M])) {
 	if r.InjectorActive() {
 		r.Checkpoint()
 	}
-	r.RunPhase(workers, p, func(lo, hi int) (int32, error) {
+	r.RunPhase(workers, p, func(_, lo, hi int) (int32, error) {
 		var nf int32
 		var first error
 		for i := lo; i < hi; i++ {
@@ -150,7 +150,7 @@ func (r *Route[M]) Superstep(body func(i int, s *Sends[M])) {
 // back to exactly this state.
 func (r *Route[M]) Checkpoint() {
 	if len(r.ckInbox) < len(r.inbox) {
-		r.ckInbox = growSlices(r.ckInbox, len(r.inbox))
+		r.ckInbox = growLen(r.ckInbox, len(r.inbox))
 	}
 	for i, in := range r.inbox {
 		r.ckInbox[i] = append(r.ckInbox[i][:0], in...)
@@ -212,8 +212,8 @@ type routeBuf[M any] struct {
 
 func (b *routeBuf[M]) ensure(p, nm, ns int) {
 	if nb := nm * ns; len(b.msg) < nb {
-		b.msg = growSlices(b.msg, nb)
-		b.dst = growSlices(b.dst, nb)
+		b.msg = growLen(b.msg, nb)
+		b.dst = growLen(b.dst, nb)
 	}
 	if len(b.work) < nm {
 		b.work = make([]int64, nm) //lint:hotpathalloc-ok amortized scratch growth to the high-water mark; steady-state commits do not allocate

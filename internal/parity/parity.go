@@ -211,6 +211,10 @@ func GadgetQSM(m *qsm.Machine, base, n, groupBits int) (int, error) {
 			needed, n, gb, m.P())
 	}
 
+	// Checker state carried between phases, in the processors' private
+	// memory: allocated once per call and cleared per level.
+	readVal := make([]int64, m.P())
+	killed := make([]int64, m.P())
 	cur, width := base, n
 	for width > 1 {
 		groups := (width + gb - 1) / gb
@@ -233,7 +237,7 @@ func GadgetQSM(m *qsm.Machine, base, n, groupBits int) (int, error) {
 		// cell set; checker state (the bit it read) is carried in the host
 		// closure via a staging slice, which models the processor's private
 		// memory across phases.
-		readVal := make([]int64, m.P())
+		clear(readVal)
 		m.Phase(func(c *qsm.Ctx) {
 			grp := c.Proc() / perGroup
 			if grp >= groups {
@@ -266,7 +270,7 @@ func GadgetQSM(m *qsm.Machine, base, n, groupBits int) (int, error) {
 			}
 		})
 		// Phase 3: scout (a, bit 0) reads its kill cell.
-		killed := make([]int64, m.P())
+		clear(killed)
 		m.Phase(func(c *qsm.Ctx) {
 			grp := c.Proc() / perGroup
 			if grp >= groups {

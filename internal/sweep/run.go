@@ -6,7 +6,11 @@ import (
 	"io"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
+
+	"repro/internal/sched"
 )
 
 // Options configures one sweep invocation.
@@ -22,7 +26,9 @@ type Options struct {
 	MaxCells int
 	// MaxCost is the n·p footprint ceiling (0 = DefaultMaxCost).
 	MaxCost int64
-	// Workers caps simulation parallelism (0 = GOMAXPROCS).
+	// Workers caps simulation parallelism (0 = GOMAXPROCS): it is both
+	// the size of the pool running cells concurrently and each cell's
+	// engine worker budget.
 	Workers int
 	// Deadline is the fault-cell watchdog (0 = chaos.DefaultDeadline).
 	Deadline time.Duration
@@ -54,12 +60,16 @@ type Summary struct {
 	Interrupted bool
 }
 
-// Run executes the cells in grid order, skipping any whose key already
-// appears in the resumed output. Cells run sequentially — the simulators
-// parallelize internally via Workers, and sequential execution keeps the
-// record order (and therefore the JSONL byte stream) deterministic,
-// which is what makes interrupted-and-resumed sweeps byte-comparable to
-// uninterrupted ones.
+// Run executes the cells, skipping any whose key already appears in the
+// resumed output. Cells run on a bounded pool of sched.Workers(Workers)
+// goroutines (sequentially, on the calling goroutine, at one), while
+// records are consumed, persisted and reported strictly in grid order:
+// a finished cell waits for every earlier one. The JSONL/CSV bytes are
+// therefore identical for every pool size, and an interrupted sweep
+// leaves a grid-order prefix that resumes byte-comparably to an
+// uninterrupted run. The pool runs at most MaxCells new cells, and a
+// cancelled Ctx stops it from starting more; Run returns only after
+// every cell in flight has finished.
 func Run(cells []Cell, opt Options) (*Summary, error) {
 	w, prior, err := newWriter(opt.JSONL, opt.CSV, opt.Resume)
 	if err != nil {
@@ -67,6 +77,17 @@ func Run(cells []Cell, opt Options) (*Summary, error) {
 	}
 	s := &Summary{Total: len(cells), SkipReasons: make(map[string]int)}
 	rc := RunConfig{MaxCost: opt.MaxCost, Workers: opt.Workers, Deadline: opt.Deadline, Ctx: opt.Ctx}
+	var todo []Cell
+	for _, c := range cells {
+		if _, ok := prior[c.Key()]; !ok {
+			todo = append(todo, c)
+		}
+	}
+	if opt.MaxCells > 0 && len(todo) > opt.MaxCells {
+		todo = todo[:opt.MaxCells]
+	}
+	pool := startPool(todo, sched.Workers(opt.Workers), rc)
+	defer pool.close()
 	appended := 0
 	for i, c := range cells {
 		var rec Record
@@ -82,10 +103,12 @@ func Run(cells []Cell, opt Options) (*Summary, error) {
 				s.Interrupted = true
 				break
 			}
-			rec = RunCell(c, rc)
-			if rec.Status == StatusSkipped && rec.Reason == ReasonCancelled {
-				// The interrupt landed mid-cell: the cell is not a result
-				// and must not be persisted — a resumed sweep re-runs it.
+			var ran bool
+			rec, ran = pool.result(appended)
+			if !ran || rec.Status == StatusSkipped && rec.Reason == ReasonCancelled {
+				// The interrupt landed before or during the cell: it is
+				// not a result and must not be persisted — a resumed
+				// sweep re-runs it.
 				s.Interrupted = true
 				break
 			}
@@ -110,6 +133,77 @@ func Run(cells []Cell, opt Options) (*Summary, error) {
 	}
 	s.Records = w.records
 	return s, nil
+}
+
+// cellPool runs a sweep's cells ahead of its in-order consumer on a
+// bounded set of goroutines. Workers claim cells in grid order; the
+// record of cell j arrives on out[j], so the consumer takes results in
+// grid order however the runs interleave. With one worker the pool runs
+// nothing in the background: result runs the cell on the caller.
+type cellPool struct {
+	cells []Cell
+	rc    RunConfig
+	out   []chan poolResult
+	next  atomic.Int64
+	stop  atomic.Bool
+	wg    sync.WaitGroup
+}
+
+// poolResult is one claimed cell's outcome; ran is false when the
+// context was cancelled before the cell started.
+type poolResult struct {
+	rec Record
+	ran bool
+}
+
+func startPool(cells []Cell, size int, rc RunConfig) *cellPool {
+	p := &cellPool{cells: cells, rc: rc}
+	if size <= 1 || len(cells) <= 1 {
+		return p
+	}
+	p.out = make([]chan poolResult, len(cells))
+	for j := range p.out {
+		p.out[j] = make(chan poolResult, 1)
+	}
+	for range min(size, len(cells)) {
+		p.wg.Add(1)
+		go p.work()
+	}
+	return p
+}
+
+// work claims and runs cells until they run out, the consumer stops the
+// pool, or the context is cancelled. Every claimed cell gets exactly one
+// result, so the consumer never waits on a cell nobody runs.
+func (p *cellPool) work() {
+	defer p.wg.Done()
+	for !p.stop.Load() {
+		j := int(p.next.Add(1) - 1)
+		if j >= len(p.cells) {
+			return
+		}
+		if p.rc.Ctx != nil && p.rc.Ctx.Err() != nil {
+			p.out[j] <- poolResult{}
+			return
+		}
+		p.out[j] <- poolResult{rec: RunCell(p.cells[j], p.rc), ran: true}
+	}
+}
+
+// result returns the record of cell j; results are taken in order.
+func (p *cellPool) result(j int) (Record, bool) {
+	if p.out == nil {
+		return RunCell(p.cells[j], p.rc), true
+	}
+	r := <-p.out[j]
+	return r.rec, r.ran
+}
+
+// close stops the pool from claiming more cells and waits for the cells
+// in flight to finish; their records are dropped.
+func (p *cellPool) close() {
+	p.stop.Store(true)
+	p.wg.Wait()
 }
 
 // tally folds one record into the summary counters.
