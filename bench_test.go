@@ -172,35 +172,6 @@ func BenchmarkPhaseCommit_QSM_BatchBlock(b *testing.B) {
 	}
 }
 
-// BenchmarkPhaseCommit_Bool_WordScan drives the bit-packed memory: each
-// processor reads a 64-bit word (64 charged cell reads through one
-// ReadWord) and writes a summary bit. At p=2^18 a phase carries ~17M
-// requests over a shared memory of only 2 MB of packed words.
-func BenchmarkPhaseCommit_Bool_WordScan(b *testing.B) {
-	for _, p := range []int{1 << 14, 1 << 17, 1 << 18} {
-		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
-			m, err := qsm.NewBool(qsm.Config{
-				Rule: cost.RuleQSM, P: p, G: 2, N: p, MemCells: 65 * p,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m.Phase(func(c *qsm.BoolCtx) {
-					w := c.ReadWord(c.Proc()*64, 64)
-					c.Write(64*p+c.Proc(), w != 0)
-				})
-			}
-			b.StopTimer()
-			if m.Err() != nil {
-				b.Fatal(m.Err())
-			}
-		})
-	}
-}
-
 func BenchmarkPhaseCommit_BSP_Shift(b *testing.B) {
 	for _, p := range []int{1 << 14, 1 << 17} {
 		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {

@@ -3,7 +3,7 @@
 // commitpurity), the interprocedural fault/checkpoint/sentinel contracts
 // of PR 5 (sentinelwrap, snapshotdeep, costbalance, injectoronce,
 // observerpurity) built on per-function fact summaries, the CFG-based
-// dataflow contracts of PR 8 (hotpathalloc, colescape, bitaddr), and
+// dataflow contracts of PR 8 (hotpathalloc, colescape), and
 // the concurrency contracts of PR 10 (goleak, lockorder, atomicmix,
 // framestate) covering goroutine lifecycle, lock discipline, atomic
 // access discipline and the proc backend's wire-protocol frame state.
@@ -13,7 +13,7 @@
 //	go run ./cmd/reprolint ./...
 //	go run ./cmd/reprolint -json ./...
 //	go run ./cmd/reprolint -sarif reprolint.sarif -baseline .reprolint-baseline.json ./...
-//	go run ./cmd/reprolint -cfg-debug internal/engine/bitmem.go:commit
+//	go run ./cmd/reprolint -cfg-debug internal/engine/mem.go:commit
 //
 // and as a plain `go vet -vettool` (which the standalone mode spawns
 // under the hood, so results and caching are identical):

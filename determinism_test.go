@@ -281,25 +281,6 @@ func TestDeterminismEventStreams(t *testing.T) {
 				return err
 			}
 		}},
-		{"QSM/parity-tree-bool", func(workers int) (Machine, func() error) {
-			// Bit-packed twin of parity-tree: the same request sequence
-			// flows through BitMem's word-sharded columnar commit.
-			const n = 256
-			in := workload.Bits(5, n)
-			m, err := qsm.NewBool(qsm.Config{
-				Rule: cost.RuleQSM, P: n, G: 2, N: n, MemCells: 2 * n, Workers: workers,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return m, func() error {
-				if err := m.Load(0, in); err != nil {
-					return err
-				}
-				_, err := parity.TreeBool(m, 0, n, 4)
-				return err
-			}
-		}},
 		{"BSP/parity", func(workers int) (Machine, func() error) {
 			const n, p = 256, 16
 			in := workload.Bits(5, n)

@@ -341,7 +341,7 @@ func sortStrings(s []string) {
 }
 
 // fieldOwner resolves a field index path to (owner type name, field
-// name) — the shared structural identity rule (see bitaddr).
+// name) — the same structural identity rule as lockorder's.
 func fieldOwner(t types.Type, index []int) (owner, field string) {
 	for _, i := range index {
 		for {

@@ -13,8 +13,7 @@ import (
 // per object. An absent object is the bottom element (no facts). What
 // the bits mean is analyzer-defined — colescape uses bit 0 for
 // "tainted by pooled storage" and one bit per parameter for escape
-// summaries; bitaddr uses bits for "packed value" and "blessed pack
-// expression".
+// summaries.
 type Facts map[types.Object]uint64
 
 // Clone copies the fact set; analyzers use it to replay a block's

@@ -4,7 +4,7 @@
 //
 // The columnar engines hand out aliases instead of copies on their fast
 // paths — MemCtx.ReadBlock returns a sub-slice of the live memory
-// image, Mem.Data/BitMem.Words expose the backing arrays, and
+// image, Mem.Data exposes the backing array, and
 // Route.Incoming returns a superstep's pooled inbox row. All of them
 // are documented "do not retain": the next phase commit rewrites the
 // storage in place (or swaps it into the ping-pong spare), so a
@@ -14,7 +14,7 @@
 // sampled schedule happens to expose it.
 //
 // The analyzer runs a forward CFG taint: column-derived values (results
-// of ReadBlock/Data/Words/Incoming-shaped calls, and reads of the
+// of ReadBlock/Data/Incoming-shaped calls, and reads of the
 // pooled engine types' column fields) taint locals they flow into, and
 // a tainted value hitting an escape sink — a store to a non-pooled
 // field, global or dereference, a channel send, a return, a composite
@@ -32,7 +32,7 @@
 // call site, while identity-shaped helpers stay transparent.
 //
 // Suppression: //lint:colescape-ok <reason>. The engine's own accessor
-// returns (ReadBlock, Data, Words, Incoming) are the intended, documented
+// returns (ReadBlock, Data, Incoming) are the intended, documented
 // exemptions: they are the borrow points whose callers this analyzer
 // polices.
 package colescape
@@ -62,7 +62,7 @@ var Analyzer = &analysis.Analyzer{
 // check also covers fixtures and future engines without importing repro
 // packages.
 var sourceMethods = map[string]bool{
-	"ReadBlock": true, "Data": true, "Words": true, "Incoming": true,
+	"ReadBlock": true, "Data": true, "Incoming": true,
 }
 
 // pooledFields lists the engine's pooled column fields by owning type;
@@ -71,11 +71,8 @@ var sourceMethods = map[string]bool{
 // table.
 var pooledFields = map[string]map[string]bool{
 	"Mem":      fields("mem", "ckMem", "arenas"),
-	"BitMem":   fields("words", "ckWords", "arenas"),
 	"memArena": fields("rAddr", "rProc", "wAddr", "wProc", "wVal"),
-	"bitArena": fields("rAddr", "rProc", "writes", "wProc"),
 	"memBuf":   fields("bk", "touched"),
-	"bitBuf":   fields("bk", "touched"),
 	"Route":    fields("inbox", "spare", "ckInbox"),
 	"Sends":    fields("msgs", "dsts"),
 	"EventLog": fields("events", "ends"),

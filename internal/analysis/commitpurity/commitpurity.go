@@ -45,10 +45,10 @@ var Analyzer = &analysis.Analyzer{
 // allowedWriters maps each protected engine type to the functions that
 // may write its fields: the lifecycle entry points (Init*, Phase,
 // Superstep, RunPhase), the two-pass commit pipeline (commit, finish,
-// ensure), the per-processor request recorders (MemCtx/BitCtx and Sends
+// ensure), the per-processor request recorders (MemCtx and Sends
 // methods, per-cell and batch alike — a batch recorder appends to the
 // same struct-of-arrays columns as its per-cell twin, so it is part of
-// the same contract; MemCtx/BitCtx record into their chunk's arena, so
+// the same contract; MemCtx records into its chunk's arena, so
 // the recorders are the arena's writers too, next to the chunk loop in
 // Phase and the arena's own begin/truncate), and the fault-injection/recovery machinery (InjectFaults
 // attachment, the barrier-side consult/accounting, and the
@@ -63,12 +63,7 @@ var allowedWriters = map[string]map[string]bool{
 	"memBuf": set("ensure", "commit", "finish"),
 	"memArena": set("Phase", "begin", "truncate", "commit",
 		"Read", "Write", "ReadBlock", "ReadBatch", "WriteBlock", "WriteFill", "WriteBatch", "Submit"),
-	"MemCtx": set("Phase", "Op", "failf"),
-	"BitMem": set("InitBits", "Grow", "SetBit", "Phase", "Checkpoint", "Rollback",
-		"corruptCell", "finish"),
-	"bitBuf":   set("ensure", "commit", "finish"),
-	"bitArena": set("Phase", "begin", "truncate", "commit", "Read", "ReadWord", "Write"),
-	"BitCtx":   set("Phase", "Op", "failf"),
+	"MemCtx":   set("Phase", "Op", "failf"),
 	"Route":    set("InitRoute", "Superstep", "commit", "Checkpoint", "Rollback", "corruptInbox"),
 	"routeBuf": set("ensure", "commit"),
 	"Sends":    set("AddWork", "Stage", "Fail", "reset", "StageBatch"),

@@ -147,63 +147,6 @@ func (a *memArena) rewrite(j int, addr int32) {
 	a.mOp++           // want `engine\.memArena\.mOp written in rewrite, outside the commit entry points`
 }
 
-// BitMem and BitCtx mirror the bit-packed engine: word-level storage,
-// packed write column, the same writer contract.
-type BitMem struct {
-	Core
-	words []uint64
-	cb    bitBuf
-}
-
-func (m *BitMem) InitBits(nwords int) {
-	m.words = make([]uint64, nwords)
-}
-
-func (m *BitMem) SetBit(addr int) {
-	m.words[addr>>6] |= 1 << (uint(addr) & 63)
-}
-
-func (m *BitMem) finish(addr int) {
-	// finish both applies packed writes and drains the scratch: clean.
-	m.words[addr>>6] &^= 1 << (uint(addr) & 63)
-	m.cb.touched = m.cb.touched[:0]
-}
-
-func (m *BitMem) hotPatch(addr int) {
-	m.words[addr>>6] = 0            // want `engine\.BitMem\.words written in hotPatch, outside the commit entry points`
-	m.cb.touched = m.cb.touched[:0] // want `engine\.bitBuf\.touched written in hotPatch, outside the commit entry points`
-}
-
-type bitArena struct {
-	writes []int32
-}
-
-type BitCtx struct {
-	a *bitArena
-}
-
-func (c *BitCtx) Write(addr int32, bit bool) {
-	p := addr << 1
-	if bit {
-		p |= 1
-	}
-	c.a.writes = append(c.a.writes, p)
-}
-
-func (c *BitCtx) replay(ws []int32) {
-	c.a.writes = ws // want `engine\.bitArena\.writes written in replay, outside the commit entry points`
-}
-
-type bitBuf struct {
-	touched []int32
-}
-
-func (b *bitBuf) ensure(n int) {
-	if cap(b.touched) < n {
-		b.touched = make([]int32, 0, n)
-	}
-}
-
 // Sends mirrors the routing-side stager; StageBatch is the sanctioned
 // columnar twin of Stage.
 type Sends struct {

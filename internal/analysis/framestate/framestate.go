@@ -8,7 +8,7 @@
 // them by value-flow from codec to merge.
 //
 // Three checks, all structural over the `dec`/`enc` codec types (matched
-// by type name, the same convention bitaddr uses for packedColumns):
+// by type name, so fixtures need not import the proc package):
 //
 //   - header offsets: a `dec{b: p, off: N}` literal may start at offset
 //     0 (whole payload), 1 (past the type byte) or 9 (past type, phase,

@@ -580,7 +580,8 @@ func (c *checker) reportAt(file *ast.File, pos token.Pos, format string, args ..
 }
 
 // fieldOwner resolves a field index path to (owner type name, field
-// name) — same structural identity rule as bitaddr's packed-field keys.
+// name): fields are identified structurally, by owner type name and
+// field name, so fixtures need not import the real packages.
 func fieldOwner(t types.Type, index []int) (owner, field string) {
 	for _, i := range index {
 		for {

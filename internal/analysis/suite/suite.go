@@ -7,7 +7,6 @@ package suite
 import (
 	"repro/internal/analysis"
 	"repro/internal/analysis/atomicmix"
-	"repro/internal/analysis/bitaddr"
 	"repro/internal/analysis/colescape"
 	"repro/internal/analysis/commitpurity"
 	"repro/internal/analysis/costbalance"
@@ -42,7 +41,6 @@ func Analyzers() []*analysis.Analyzer {
 		observerpurity.Analyzer,
 		hotpathalloc.Analyzer,
 		colescape.Analyzer,
-		bitaddr.Analyzer,
 		goleak.Analyzer,
 		lockorder.Analyzer,
 		atomicmix.Analyzer,

@@ -11,15 +11,11 @@ import (
 )
 
 // memTail builds an fMemReq payload tail (everything after the type
-// byte): the fixed header for an unpacked request, then body as raw u32
-// words — the run sections, well-formed or not.
+// byte): the fixed header (phase, attempt, cells, lo, hi, nprocs), then
+// body as raw u32 words — the run sections, well-formed or not.
 func memTail(cells, lo, hi, nprocs uint32, body ...uint32) []byte {
-	b := make([]byte, 0, 25+4*len(body))
-	for _, v := range []uint32{1, 1, cells} { // phase, attempt, cells
-		b = binary.LittleEndian.AppendUint32(b, v)
-	}
-	b = append(b, 0) // packed
-	for _, v := range append([]uint32{lo, hi, nprocs}, body...) {
+	b := make([]byte, 0, 24+4*len(body))
+	for _, v := range append([]uint32{1, 1, cells, lo, hi, nprocs}, body...) {
 		b = binary.LittleEndian.AppendUint32(b, v)
 	}
 	return b
@@ -113,7 +109,7 @@ func decodeMemRes(t *testing.T, frame []byte) engine.MergeStats {
 
 // TestRankOfMatchesRangeFor pins the encoder's one-pass rank lookup to
 // the owned ranges exactly, including splits that do not divide evenly
-// and large spaces near the bit engine's address limit.
+// and large spaces up to the int32 address limit.
 func TestRankOfMatchesRangeFor(t *testing.T) {
 	check := func(cells, ranks, a, want int) {
 		if got := rankOf(a, cells, ranks); got != want {
@@ -143,8 +139,8 @@ func TestRankOfMatchesRangeFor(t *testing.T) {
 
 // randomReq builds a pseudo-random mem request; about half the columns
 // are empty, as in a sparse phase.
-func randomReq(rng *rand.Rand, procs, cells int, packed bool) engine.MemMergeReq {
-	req := engine.MemMergeReq{Cells: cells, Packed: packed}
+func randomReq(rng *rand.Rand, procs, cells int) engine.MemMergeReq {
+	req := engine.MemMergeReq{Cells: cells}
 	for p := 0; p < procs; p++ {
 		var reads, writes []int32
 		if rng.Intn(2) == 0 {
@@ -152,11 +148,7 @@ func randomReq(rng *rand.Rand, procs, cells int, packed bool) engine.MemMergeReq
 				reads = append(reads, int32(rng.Intn(cells)))
 			}
 			for i := rng.Intn(6); i > 0; i-- {
-				w := int32(rng.Intn(cells))
-				if packed {
-					w = w<<1 | int32(rng.Intn(2))
-				}
-				writes = append(writes, w)
+				writes = append(writes, int32(rng.Intn(cells)))
 			}
 		}
 		req.Reads = append(req.Reads, reads)
@@ -169,66 +161,61 @@ func randomReq(rng *rand.Rand, procs, cells int, packed bool) engine.MemMergeReq
 // sparse frames, serves each through a worker decoder and folds the
 // answers as the coordinator does: the result must equal the reference
 // merger over the whole space, at rank counts that split the space
-// unevenly (cells % ranks ≠ 0), packed and unpacked. Every frame's
-// owned range must be rangeFor's.
+// unevenly (cells % ranks ≠ 0). Every frame's owned range must be
+// rangeFor's.
 func TestSparseFramesMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	var ref engine.MemMerger
 	var rref engine.RouteMerger
 	for _, ranks := range []int{1, 2, 3, 5, 7} {
 		for _, cells := range []int{7, 61, 64} {
-			for _, packed := range []bool{false, true} {
-				name := fmt.Sprintf("w%d_cells%d_packed%v", ranks, cells, packed)
-				frames := newReqFrames(ranks)
-				ws := make([]workerState, ranks)
-				for trial := 0; trial < 40; trial++ {
-					req := randomReq(rng, 1+rng.Intn(9), cells, packed)
-					frames.mem(req)
-					got := engine.MergeStats{Viol: -1}
-					for r := range ws {
-						d := dec{b: payloadOf(frames.out[r]), off: 1 + 4*3 + 1}
-						lo, hi := rangeFor(r, cells, ranks)
-						if int(d.u32()) != lo || int(d.u32()) != hi {
-							t.Fatalf("%s: rank %d frame range differs from rangeFor [%d, %d)", name, r, lo, hi)
-						}
-						res, err := ws[r].serveMem(payloadOf(frames.out[r]))
-						if err != nil {
-							t.Fatalf("%s trial %d rank %d: %v", name, trial, r, err)
-						}
-						st := decodeMemRes(t, res)
-						got.KRead = max(got.KRead, st.KRead)
-						got.KWrite = max(got.KWrite, st.KWrite)
-						if st.Viol >= 0 && (got.Viol < 0 || st.Viol < got.Viol) {
-							got.Viol = st.Viol
-						}
+			name := fmt.Sprintf("w%d_cells%d", ranks, cells)
+			frames := newReqFrames(ranks)
+			ws := make([]workerState, ranks)
+			for trial := 0; trial < 40; trial++ {
+				req := randomReq(rng, 1+rng.Intn(9), cells)
+				frames.mem(req)
+				got := engine.MergeStats{Viol: -1}
+				for r := range ws {
+					d := dec{b: payloadOf(frames.out[r]), off: 1 + 4*3}
+					lo, hi := rangeFor(r, cells, ranks)
+					if int(d.u32()) != lo || int(d.u32()) != hi {
+						t.Fatalf("%s: rank %d frame range differs from rangeFor [%d, %d)", name, r, lo, hi)
 					}
-					if want := ref.Merge(req, 0, cells); got != want {
-						t.Fatalf("%s trial %d: sparse frames merged to %+v, want %+v", name, trial, got, want)
+					res, err := ws[r].serveMem(payloadOf(frames.out[r]))
+					if err != nil {
+						t.Fatalf("%s trial %d rank %d: %v", name, trial, r, err)
+					}
+					st := decodeMemRes(t, res)
+					got.KRead = max(got.KRead, st.KRead)
+					got.KWrite = max(got.KWrite, st.KWrite)
+					if st.Viol >= 0 && (got.Viol < 0 || st.Viol < got.Viol) {
+						got.Viol = st.Viol
 					}
 				}
-				if packed {
-					continue
+				if want := ref.Merge(req, 0, cells); got != want {
+					t.Fatalf("%s trial %d: sparse frames merged to %+v, want %+v", name, trial, got, want)
 				}
-				// The routing barrier over the same shapes: reads as
-				// destination columns, cells as components.
-				for trial := 0; trial < 40; trial++ {
-					req := randomReq(rng, cells, cells, false)
-					rreq := engine.RouteMergeReq{P: cells, Dsts: req.Reads}
-					frames.route(rreq)
-					var got engine.RouteStats
-					for r := range ws {
-						res, err := ws[r].serveRoute(payloadOf(frames.out[r]))
-						if err != nil {
-							t.Fatalf("%s route trial %d rank %d: %v", name, trial, r, err)
-						}
-						d := dec{b: payloadOf(res), off: 1}
-						d.u32()
-						d.u32()
-						got.HRecv = max(got.HRecv, d.i64())
+			}
+			// The routing barrier over the same shapes: reads as
+			// destination columns, cells as components.
+			for trial := 0; trial < 40; trial++ {
+				req := randomReq(rng, cells, cells)
+				rreq := engine.RouteMergeReq{P: cells, Dsts: req.Reads}
+				frames.route(rreq)
+				var got engine.RouteStats
+				for r := range ws {
+					res, err := ws[r].serveRoute(payloadOf(frames.out[r]))
+					if err != nil {
+						t.Fatalf("%s route trial %d rank %d: %v", name, trial, r, err)
 					}
-					if want := rref.Merge(rreq, 0, cells); got != want {
-						t.Fatalf("%s route trial %d: got %+v, want %+v", name, trial, got, want)
-					}
+					d := dec{b: payloadOf(res), off: 1}
+					d.u32()
+					d.u32()
+					got.HRecv = max(got.HRecv, d.i64())
+				}
+				if want := rref.Merge(rreq, 0, cells); got != want {
+					t.Fatalf("%s route trial %d: got %+v, want %+v", name, trial, got, want)
 				}
 			}
 		}

@@ -45,19 +45,15 @@ func newCoord(t *testing.T, workers int) *proc.Coordinator {
 
 // randomMemReq builds a deterministic pseudo-random merge request over
 // the given cell count.
-func randomMemReq(rng *rand.Rand, procs, cells int, packed bool) engine.MemMergeReq {
-	req := engine.MemMergeReq{Phase: 1, Attempt: 1, Cells: cells, Packed: packed}
+func randomMemReq(rng *rand.Rand, procs, cells int) engine.MemMergeReq {
+	req := engine.MemMergeReq{Phase: 1, Attempt: 1, Cells: cells}
 	for p := 0; p < procs; p++ {
 		var reads, writes []int32
 		for i := rng.Intn(20); i > 0; i-- {
 			reads = append(reads, int32(rng.Intn(cells)))
 		}
 		for i := rng.Intn(20); i > 0; i-- {
-			w := int32(rng.Intn(cells))
-			if packed {
-				w = w<<1 | int32(rng.Intn(2))
-			}
-			writes = append(writes, w)
+			writes = append(writes, int32(rng.Intn(cells)))
 		}
 		req.Reads = append(req.Reads, reads)
 		req.Writes = append(req.Writes, writes)
@@ -66,29 +62,26 @@ func randomMemReq(rng *rand.Rand, procs, cells int, packed bool) engine.MemMerge
 }
 
 // TestMergeMemMatchesReference pins the distributed merge to the
-// reference merger over the full cell space, across worker counts,
-// packed and plain.
+// reference merger over the full cell space, across worker counts.
 func TestMergeMemMatchesReference(t *testing.T) {
 	for _, workers := range []int{1, 3} {
-		for _, packed := range []bool{false, true} {
-			t.Run(fmt.Sprintf("w%d_packed%v", workers, packed), func(t *testing.T) {
-				c := newCoord(t, workers)
-				rng := rand.New(rand.NewSource(7))
-				var ref engine.MemMerger
-				for trial := 0; trial < 25; trial++ {
-					req := randomMemReq(rng, 5, 64, packed)
-					req.Phase = trial
-					want := ref.Merge(req, 0, req.Cells)
-					got, err := c.MergeMem(req)
-					if err != nil {
-						t.Fatalf("trial %d: MergeMem: %v", trial, err)
-					}
-					if got != want {
-						t.Fatalf("trial %d: got %+v want %+v", trial, got, want)
-					}
+		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
+			c := newCoord(t, workers)
+			rng := rand.New(rand.NewSource(7))
+			var ref engine.MemMerger
+			for trial := 0; trial < 25; trial++ {
+				req := randomMemReq(rng, 5, 64)
+				req.Phase = trial
+				want := ref.Merge(req, 0, req.Cells)
+				got, err := c.MergeMem(req)
+				if err != nil {
+					t.Fatalf("trial %d: MergeMem: %v", trial, err)
 				}
-			})
-		}
+				if got != want {
+					t.Fatalf("trial %d: got %+v want %+v", trial, got, want)
+				}
+			}
+		})
 	}
 }
 
@@ -125,7 +118,7 @@ func TestMergeRouteMatchesReference(t *testing.T) {
 // hook and checks the next barrier succeeds on a respawned replacement.
 func TestCrashRealizeRespawns(t *testing.T) {
 	c := newCoord(t, 2)
-	req := randomMemReq(rand.New(rand.NewSource(3)), 4, 32, false)
+	req := randomMemReq(rand.New(rand.NewSource(3)), 4, 32)
 	want, err := c.MergeMem(req)
 	if err != nil {
 		t.Fatalf("pre-kill merge: %v", err)
@@ -176,7 +169,7 @@ func TestDupRealizeIsHarmless(t *testing.T) {
 	var ref engine.MemMerger
 	c.Realize(engine.InjectCtx{}, engine.Verdict{Class: engine.FaultTransient, Addr: 0, Drop: false})
 	for trial := 0; trial < 3; trial++ {
-		req := randomMemReq(rng, 4, 48, false)
+		req := randomMemReq(rng, 4, 48)
 		req.Phase = trial
 		want := ref.Merge(req, 0, req.Cells)
 		got, err := c.MergeMem(req)
@@ -202,7 +195,7 @@ func TestRespawnBudgetExhaustionPermanent(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 	defer c.Close()
-	req := randomMemReq(rand.New(rand.NewSource(9)), 2, 16, false)
+	req := randomMemReq(rand.New(rand.NewSource(9)), 2, 16)
 	kill := func() {
 		c.Realize(engine.InjectCtx{Cells: 16}, engine.Verdict{Class: engine.FaultCrash, Proc: 0})
 		time.Sleep(50 * time.Millisecond)

@@ -41,10 +41,9 @@ const (
 	// fresh connection.
 	fHello byte = 1
 	// fMemReq (coordinator → worker), payload: phase u32, attempt u32,
-	// cells u32, packed u8, lo u32, hi u32, nprocs u32, then a read run
-	// section and a write run section (see above). Runs hold only the
-	// entries whose cell lies in the worker's [lo, hi) range; write
-	// entries are addr<<1 | bit when packed.
+	// cells u32, lo u32, hi u32, nprocs u32, then a read run section and
+	// a write run section (see above). Runs hold only the entries whose
+	// cell lies in the worker's [lo, hi) range.
 	fMemReq byte = 2
 	// fMemRes (worker → coordinator), payload: phase u32, attempt u32,
 	// kread i64, kwrite i64, viol i32 (−1 = clean).
@@ -77,7 +76,6 @@ func (e *enc) reset(t byte) {
 	e.b = append(e.b[:0], 0, 0, 0, 0, t)
 }
 
-func (e *enc) u8(v byte) { e.b = append(e.b, v) }
 func (e *enc) u32(v uint32) {
 	e.b = binary.LittleEndian.AppendUint32(e.b, v)
 }
@@ -117,16 +115,6 @@ func (d *dec) fail(what string) {
 	if d.err == nil {
 		d.err = fmt.Errorf("proc: truncated frame: %s at offset %d of %d", what, d.off, len(d.b))
 	}
-}
-
-func (d *dec) u8() byte {
-	if d.err != nil || d.off+1 > len(d.b) {
-		d.fail("u8")
-		return 0
-	}
-	v := d.b[d.off]
-	d.off++
-	return v
 }
 
 func (d *dec) u32() uint32 {
@@ -213,11 +201,6 @@ func newReqFrames(ranks int) reqFrames {
 // mem builds every rank's fMemReq frame.
 func (f *reqFrames) mem(req engine.MemMergeReq) {
 	ranks := len(f.encs)
-	var packed byte
-	var shift uint
-	if req.Packed {
-		packed, shift = 1, 1
-	}
 	for r := range f.encs {
 		lo, hi := rangeFor(r, req.Cells, ranks)
 		e := &f.encs[r]
@@ -225,13 +208,12 @@ func (f *reqFrames) mem(req engine.MemMergeReq) {
 		e.u32(uint32(req.Phase))
 		e.u32(uint32(req.Attempt))
 		e.u32(uint32(req.Cells))
-		e.u8(packed)
 		e.u32(uint32(lo))
 		e.u32(uint32(hi))
 		e.u32(uint32(len(req.Reads)))
 	}
-	f.section(req.Reads, req.Cells, 0)
-	f.section(req.Writes, req.Cells, shift)
+	f.section(req.Reads, req.Cells)
+	f.section(req.Writes, req.Cells)
 	f.finish()
 }
 
@@ -249,22 +231,22 @@ func (f *reqFrames) route(req engine.RouteMergeReq) {
 		e.u32(uint32(hi))
 		e.u32(uint32(len(req.Dsts)))
 	}
-	f.section(req.Dsts, req.P, 0)
+	f.section(req.Dsts, req.P)
 	f.finish()
 }
 
 // section appends one run section to every rank's frame. Each entry goes
-// to the rank owning its cell, entry>>shift; entries outside [0, cells)
-// go nowhere. Columns are visited in processor order, so each rank's
-// runs come out in strictly increasing processor order.
-func (f *reqFrames) section(cols [][]int32, cells int, shift uint) {
+// to the rank owning its cell; entries outside [0, cells) go nowhere.
+// Columns are visited in processor order, so each rank's runs come out
+// in strictly increasing processor order.
+func (f *reqFrames) section(cols [][]int32, cells int) {
 	ranks := len(f.encs)
 	for r := range f.encs {
 		f.open[r] = openRun{sect: f.encs[r].mark(), proc: -1}
 	}
 	for i, col := range cols {
 		for _, v := range col {
-			a := int(v >> shift)
+			a := int(v)
 			if a < 0 || a >= cells {
 				continue
 			}

@@ -54,13 +54,13 @@ func FuzzFrameCodec(f *testing.F) {
 	f.Add(append([]byte(nil), e.finish()...))
 
 	// Request frames as the coordinator builds them, one per rank of 2:
-	// a packed mem request over 5 processors and a route request over 8
+	// a mem request over 5 processors and a route request over 8
 	// senders.
 	frames := newReqFrames(2)
 	frames.mem(engine.MemMergeReq{
-		Phase: 1, Cells: 8, Packed: true,
+		Phase: 1, Cells: 8,
 		Reads:  [][]int32{{0, 1}, nil, {6}, nil, {3, 3}},
-		Writes: [][]int32{nil, {2<<1 | 1, 7 << 1}, nil, {5<<1 | 1}, nil},
+		Writes: [][]int32{nil, {2, 7}, nil, {5}, nil},
 	})
 	for _, fr := range frames.out {
 		f.Add(append([]byte(nil), fr...))
@@ -144,13 +144,11 @@ func checkPayload(t *testing.T, payload []byte) {
 		e.i64(hrecv)
 	case fMemReq:
 		phase, attempt, cells := d.u32(), d.u32(), d.u32()
-		packed := d.u8()
 		lo, hi, nprocs := d.u32(), d.u32(), d.u32()
 		e.reset(fMemReq)
 		e.u32(phase)
 		e.u32(attempt)
 		e.u32(cells)
-		e.u8(packed)
 		e.u32(lo)
 		e.u32(hi)
 		e.u32(nprocs)

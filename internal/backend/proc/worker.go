@@ -159,7 +159,7 @@ const (
 // named by kind. It rejects a processor id outside [0, nprocs) and one
 // not strictly above the previous run's: a repeated processor would slip
 // past the mergers' per-processor dedup and double-count its requests.
-func (w *workerState) section(d *dec, nprocs, kind int, packed bool) error {
+func (w *workerState) section(d *dec, nprocs, kind int) error {
 	prev := -1
 	for i, n := 0, int(d.u32()); i < n; i++ {
 		proc := int(d.u32())
@@ -176,7 +176,7 @@ func (w *workerState) section(d *dec, nprocs, kind int, packed bool) error {
 		case readRuns:
 			w.mm.Read(proc, w.col)
 		case writeRuns:
-			w.mm.Write(proc, w.col, packed)
+			w.mm.Write(proc, w.col)
 		default:
 			w.rm.Send(w.col)
 		}
@@ -207,7 +207,6 @@ func (w *workerState) serveMem(payload []byte) ([]byte, error) {
 	phase := d.u32()
 	attempt := d.u32()
 	cells := d.u32()
-	packed := d.u8() == 1
 	lo := d.u32()
 	hi := d.u32()
 	nprocs := int(d.u32())
@@ -218,9 +217,9 @@ func (w *workerState) serveMem(payload []byte) ([]byte, error) {
 		return nil, err
 	}
 	w.mm.Begin(int(lo), int(hi))
-	err := w.section(&d, nprocs, readRuns, packed)
+	err := w.section(&d, nprocs, readRuns)
 	if err == nil {
-		err = w.section(&d, nprocs, writeRuns, packed)
+		err = w.section(&d, nprocs, writeRuns)
 	}
 	if err == nil {
 		err = trailing(&d)
@@ -254,7 +253,7 @@ func (w *workerState) serveRoute(payload []byte) ([]byte, error) {
 		return nil, err
 	}
 	w.rm.Begin(int(lo), int(hi))
-	err := w.section(&d, nsenders, dstRuns, false)
+	err := w.section(&d, nsenders, dstRuns)
 	if err == nil {
 		err = trailing(&d)
 	}

@@ -63,39 +63,6 @@ func ReadTree(m *qsm.Machine, base, n, fanin int) (int, error) {
 	return cur, m.Err()
 }
 
-// ReadTreeBool is ReadTree on the bit-packed Boolean machine: each node
-// ORs its children with one ReadWord (any nonzero packed word). The
-// request sequence matches ReadTree's, so cost reports and event streams
-// are byte-identical to the word-valued run on 0/1 data.
-func ReadTreeBool(m *qsm.BoolMachine, base, n, fanin int) (int, error) {
-	if err := checkInput(m.MemSize(), base, n); err != nil {
-		return 0, err
-	}
-	if fanin < 2 || fanin > MaxFanin {
-		return 0, fmt.Errorf("boolor: fan-in %d outside [2,%d]", fanin, MaxFanin)
-	}
-	cur, width := base, n
-	p := m.P()
-	for width > 1 {
-		next := m.MemSize()
-		nw := (width + fanin - 1) / fanin
-		if err := m.Grow(next + nw); err != nil {
-			return 0, err
-		}
-		curL, widthL := cur, width
-		m.Phase(func(c *qsm.BoolCtx) {
-			for j := c.Proc(); j < nw; j += p {
-				cnt := min(fanin, widthL-j*fanin)
-				w := c.ReadWord(curL+j*fanin, cnt)
-				c.Op(cnt)
-				c.Write(next+j, w != 0)
-			}
-		})
-		cur, width = next, nw
-	}
-	return cur, m.Err()
-}
-
 // ContentionTree computes the OR of the n cells at [base, base+n) using
 // queued concurrent writes: per level, the holder of each nonzero cell
 // writes 1 into its group cell. Two phases per level (read, then write);
@@ -159,7 +126,7 @@ func ContentionTreeDegraded(m *qsm.Machine, base, n, fanin int) (int, error) {
 		// the read barrier must not leave its slice unwritten in the
 		// write phase. vals is indexed by cell, not processor, so the two
 		// phases may stride differently.
-		rankA, nsA := survivorRanks(m)
+		rankA, nsA := m.SurvivorRanks()
 		if nsA == 0 {
 			return 0, fmt.Errorf("boolor: all %d processors crashed", m.P())
 		}
@@ -172,7 +139,7 @@ func ContentionTreeDegraded(m *qsm.Machine, base, n, fanin int) (int, error) {
 				vals[j] = c.Read(curL + j)
 			}
 		})
-		rankB, nsB := survivorRanks(m)
+		rankB, nsB := m.SurvivorRanks()
 		if nsB == 0 {
 			return 0, fmt.Errorf("boolor: all %d processors crashed", m.P())
 		}
@@ -193,22 +160,6 @@ func ContentionTreeDegraded(m *qsm.Machine, base, n, fanin int) (int, error) {
 		cur, width = next, nw
 	}
 	return cur, m.Err()
-}
-
-// survivorRanks maps each processor to its dense rank among the
-// survivors (−1 for masked processors) and returns the survivor count.
-func survivorRanks(m *qsm.Machine) ([]int, int) {
-	rank := make([]int, m.P())
-	ns := 0
-	for i := range rank {
-		if m.CrashedProc(i) {
-			rank[i] = -1
-		} else {
-			rank[i] = ns
-			ns++
-		}
-	}
-	return rank, ns
 }
 
 // RoundsSQSM is the p-processor rounds algorithm for the s-QSM (and, by the

@@ -170,11 +170,10 @@ func DartLACDegraded(m *qsm.Machine, rng *rand.Rand, base, n int) (*DartResult, 
 		return nil, fmt.Errorf("compaction: dart LAC needs ≥ n=%d processors, have %d", n, m.P())
 	}
 
-	surv, rank := survivorRanks(m)
-	if len(surv) == 0 {
+	rank, ns := m.SurvivorRanks()
+	if ns == 0 {
 		return nil, fmt.Errorf("compaction: all %d processors crashed", m.P())
 	}
-	ns := len(surv)
 	vals := make([]int64, n)
 	m.Phase(func(c *qsm.Ctx) {
 		r := rank[c.Proc()]
@@ -213,7 +212,7 @@ func DartLACDegraded(m *qsm.Machine, rng *rand.Rand, base, n int) (*DartResult, 
 		m.Grow(segBase + segSize)
 		res.OutSize += segSize
 
-		surv, rank = survivorRanks(m)
+		surv := m.Survivors()
 		if len(surv) == 0 {
 			return nil, fmt.Errorf("compaction: all %d processors crashed (round %d, %d items live)",
 				m.P(), res.Rounds, len(live))
@@ -264,20 +263,6 @@ func DartLACDegraded(m *qsm.Machine, rng *rand.Rand, base, n int) (*DartResult, 
 		live = next
 	}
 	return res, m.Err()
-}
-
-// survivorRanks returns the surviving processor ids and a per-processor
-// dense-rank map (−1 for masked processors).
-func survivorRanks(m *qsm.Machine) (surv []int, rank []int) {
-	surv = m.Survivors()
-	rank = make([]int, m.P())
-	for i := range rank {
-		rank[i] = -1
-	}
-	for r, pr := range surv {
-		rank[pr] = r
-	}
-	return surv, rank
 }
 
 // VerifyPlacement checks a dart-compaction result for soundness against

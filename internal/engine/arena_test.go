@@ -10,15 +10,14 @@ import (
 )
 
 // TestPhaseAllocsIndependentOfP pins the per-chunk arenas: a warmed-up
-// phase allocates the same number of objects at p=1024 and p=65536, for
-// the word and the packed engine at one and two workers. Any host
-// object kept per processor (a context, a private column, a run header)
-// would make the count grow with p.
+// phase allocates the same number of objects at p=1024 and p=65536, at
+// one and two workers. Any host object kept per processor (a context, a
+// private column, a run header) would make the count grow with p.
 func TestPhaseAllocsIndependentOfP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs p=65536 phases")
 	}
-	memAllocs := func(p, workers int) float64 {
+	allocs := func(p, workers int) float64 {
 		m := newMemMachine(t, p, 2*p, workers)
 		body := func(c *engine.MemCtx[int64]) {
 			v := c.Read(c.Proc())
@@ -31,26 +30,11 @@ func TestPhaseAllocsIndependentOfP(t *testing.T) {
 		}
 		return testing.AllocsPerRun(20, func() { m.Phase(body) })
 	}
-	bitAllocs := func(p, workers int) float64 {
-		m := newBitMachine(t, p, 2*p, workers)
-		body := func(c *engine.BitCtx) {
-			b := c.Read(c.Proc())
-			c.Write(p+c.Proc(), !b)
-		}
-		m.Phase(body)
-		m.Phase(body)
-		if err := m.Err(); err != nil {
-			t.Fatal(err)
-		}
-		return testing.AllocsPerRun(20, func() { m.Phase(body) })
-	}
 	for _, workers := range []int{1, 2} {
-		for name, allocs := range map[string]func(p, workers int) float64{"Mem": memAllocs, "BitMem": bitAllocs} {
-			small, large := allocs(1024, workers), allocs(65536, workers)
-			if small != large {
-				t.Errorf("%s W=%d: steady-state phase allocates %.0f objects at p=1024 but %.0f at p=65536",
-					name, workers, small, large)
-			}
+		small, large := allocs(1024, workers), allocs(65536, workers)
+		if small != large {
+			t.Errorf("W=%d: steady-state phase allocates %.0f objects at p=1024 but %.0f at p=65536",
+				workers, small, large)
 		}
 	}
 }

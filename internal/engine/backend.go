@@ -7,7 +7,7 @@ import (
 
 // This file is the commit-barrier backend seam. The engine's default
 // ("inproc") commit path is the sharded two-pass merge in mem.go /
-// bitmem.go / route.go — it stays byte-for-byte what it always was. A
+// route.go — it stays byte-for-byte what it always was. A
 // Backend replaces only the *measurement* half of the barrier: counting
 // per-cell contention, detecting read+write violations and measuring the
 // h-relation over the request columns. Everything value-carrying stays on
@@ -38,12 +38,8 @@ type MemMergeReq struct {
 	// the 1-based attempt counter. Both are diagnostic — the merge result
 	// must not depend on them.
 	Phase, Attempt int
-	// Cells is the current shared-memory size (bits for packed columns).
+	// Cells is the current shared-memory size.
 	Cells int
-	// Packed marks bit-engine write columns: entries are addr<<1 | bit
-	// and the cell address is entry>>1. Read columns are plain addresses
-	// either way.
-	Packed bool
 	// Reads and Writes hold one column per processor, index = processor
 	// id. Crashed (masked) processors contribute empty columns.
 	Reads, Writes [][]int32
@@ -212,7 +208,7 @@ func (g *MemMerger) Merge(req MemMergeReq, lo, hi int) MergeStats {
 	}
 	for i, col := range req.Writes {
 		if len(col) > 0 {
-			g.Write(i, col, req.Packed)
+			g.Write(i, col)
 		}
 	}
 	return g.End()
@@ -258,20 +254,16 @@ func (g *MemMerger) Read(proc int, col []int32) {
 	g.st.KRead = kr
 }
 
-// Write counts processor proc's write entries (addr<<1 | bit when
-// packed). A write to a cell with a positive (read) count is a
-// violation; the smallest such cell is kept.
-func (g *MemMerger) Write(proc int, col []int32, packed bool) {
+// Write counts processor proc's write addresses. A write to a cell with
+// a positive (read) count is a violation; the smallest such cell is
+// kept.
+func (g *MemMerger) Write(proc int, col []int32) {
 	lo, width := g.lo, g.width
 	count, last := g.count[:width], g.last[:width]
 	touched := g.touched
 	kw, viol := g.st.KWrite, g.st.Viol
 	pr := -(int32(proc) + 1)
-	for _, e := range col {
-		a := e
-		if packed {
-			a = e >> 1
-		}
+	for _, a := range col {
 		x := int(a) - lo
 		if uint(x) >= uint(width) {
 			continue

@@ -240,6 +240,23 @@ func (c *Core) Survivors() []int {
 	return out
 }
 
+// SurvivorRanks maps each processor to its dense rank among the
+// survivors (−1 for masked processors) and returns the survivor count.
+// Degraded runners recompute it before every phase: a crash lands at a
+// phase barrier and masks from the next phase on.
+func (c *Core) SurvivorRanks() (rank []int, n int) {
+	rank = make([]int, c.params.P)
+	for i := range rank {
+		if c.CrashedProc(i) {
+			rank[i] = -1
+		} else {
+			rank[i] = n
+			n++
+		}
+	}
+	return rank, n
+}
+
 // consultInjector asks the attached injector for a verdict on the current
 // attempt. It runs on the coordinating goroutine at the commit barrier
 // and owns all fault bookkeeping: crash masking (degraded) or promotion

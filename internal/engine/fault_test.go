@@ -3,6 +3,7 @@ package engine_test
 import (
 	"errors"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -37,36 +38,53 @@ func (s *scriptInjector) Inject(ic engine.InjectCtx) engine.Verdict {
 
 var errScripted = errors.New("scripted fault")
 
-// An injected permanent abort emits PhaseStart but neither Request nor
-// PhaseEnd — the observer contract for aborted phases — and later phase
-// attempts add nothing to the stream.
+// An injected abort — a permanent fault, or a crash in strict mode —
+// emits PhaseStart but neither Request nor PhaseEnd (the observer
+// contract for aborted phases), applies none of the attempt's writes and
+// poisons the machine with a diagnosable chain: later phase attempts add
+// nothing to the stream.
 func TestInjectedAbortEmitsNoPhaseEnd(t *testing.T) {
-	m := newMemMachine(t, 2, 4, 1)
-	ev := &engine.EventLog{}
-	m.AddObserver(ev)
-	m.InjectFaults(scripted(map[int]engine.Verdict{
-		1: {Class: engine.FaultPermanent, Err: errScripted, Proc: -1, Addr: -1},
-	}), engine.RetryPolicy{}, false)
+	for _, v := range []engine.Verdict{
+		{Class: engine.FaultPermanent, Err: errScripted, Proc: -1, Addr: -1},
+		{Class: engine.FaultCrash, Err: errScripted, Proc: 1, Addr: -1},
+	} {
+		t.Run(v.Class.String(), func(t *testing.T) {
+			m := newMemMachine(t, 2, 4, 1)
+			ev := &engine.EventLog{}
+			m.AddObserver(ev)
+			m.InjectFaults(scripted(map[int]engine.Verdict{1: v}), engine.RetryPolicy{}, false)
 
-	body := func(c *engine.MemCtx[int64]) { c.Write(c.Proc(), 1) }
-	m.Phase(body) // phase 0 commits
-	m.Phase(body) // phase 1 aborts at the barrier
-	m.Phase(body) // poisoned: no body, no events
+			for phase := 0; phase < 3; phase++ {
+				// phase 0 commits, phase 1 aborts at the barrier, phase 2
+				// is poisoned: no body, no events.
+				m.Phase(func(c *engine.MemCtx[int64]) { c.Write(c.Proc(), int64(phase+1)) })
+			}
 
-	if !errors.Is(m.Err(), errScripted) {
-		t.Fatalf("Err = %v, want the scripted fault", m.Err())
-	}
-	stream := ev.String()
-	if !strings.Contains(stream, "phase 1 start") {
-		t.Fatalf("aborted phase missing its start event:\n%s", stream)
-	}
-	for _, banned := range []string{"phase 1 end", "phase 1: proc", "phase 2"} {
-		if strings.Contains(stream, banned) {
-			t.Errorf("aborted/poisoned stream contains %q:\n%s", banned, stream)
-		}
-	}
-	if m.Report().NumPhases() != 1 {
-		t.Errorf("NumPhases = %d, want only the committed phase", m.Report().NumPhases())
+			err := m.Err()
+			if !errors.Is(err, errScripted) {
+				t.Fatalf("Err = %v, want the scripted fault", err)
+			}
+			if !strings.Contains(err.Error(), "phase 1") {
+				t.Fatalf("Err = %q, want the aborted phase in the message", err)
+			}
+			for i, got := range m.Data()[:2] {
+				if got != 1 {
+					t.Errorf("cell %d = %d, want 1: only the committed phase 0 may apply", i, got)
+				}
+			}
+			stream := ev.String()
+			if !strings.Contains(stream, "phase 1 start") {
+				t.Fatalf("aborted phase missing its start event:\n%s", stream)
+			}
+			for _, banned := range []string{"phase 1 end", "phase 1: proc", "phase 2"} {
+				if strings.Contains(stream, banned) {
+					t.Errorf("aborted/poisoned stream contains %q:\n%s", banned, stream)
+				}
+			}
+			if m.Report().NumPhases() != 1 {
+				t.Errorf("NumPhases = %d, want only the committed phase", m.Report().NumPhases())
+			}
+		})
 	}
 }
 
@@ -147,11 +165,12 @@ func (persistentTransient) Inject(ic engine.InjectCtx) engine.Verdict {
 	return engine.Verdict{Class: engine.FaultTransient, Err: errScripted, Proc: -1, Addr: 0}
 }
 
-// The full observer stream under an active injector is byte-identical at
-// Workers=1 and Workers=8 (run with -race in CI: the recovery path must
-// also be race-clean).
+// The full observer stream, the final memory image and the fault
+// accounting under an active injector are identical at Workers=1 and
+// Workers=8 (run with -race in CI: the recovery path must also be
+// race-clean).
 func TestWorkersDeterminismUnderInjection(t *testing.T) {
-	stream := func(workers int) string {
+	run := func(workers int) (string, []int64, engine.FaultStats) {
 		m := newMemMachine(t, 8, 16, workers)
 		ev := &engine.EventLog{}
 		m.AddObserver(ev)
@@ -168,14 +187,21 @@ func TestWorkersDeterminismUnderInjection(t *testing.T) {
 		if err := m.Err(); err != nil {
 			t.Fatal(err)
 		}
-		return ev.String()
+		return ev.String(), slices.Clone(m.Data()), m.FaultStats()
 	}
-	w1, w8 := stream(1), stream(8)
+	w1, mem1, fs1 := run(1)
+	w8, mem8, fs8 := run(8)
 	if w1 != w8 {
 		t.Fatalf("streams diverge:\nW1:\n%s\nW8:\n%s", w1, w8)
 	}
 	if !strings.Contains(w1, "start") {
 		t.Fatal("empty stream")
+	}
+	if !slices.Equal(mem1, mem8) {
+		t.Errorf("final memory differs: W1=%v W8=%v", mem1, mem8)
+	}
+	if fs1 != fs8 {
+		t.Errorf("fault stats differ: W1=%+v W8=%+v", fs1, fs8)
 	}
 }
 
@@ -202,6 +228,30 @@ func TestDegradedCrashMasksFromNextPhase(t *testing.T) {
 	}
 	if got := m.Survivors(); len(got) != 3 {
 		t.Errorf("Survivors = %v, want 3 processors", got)
+	}
+}
+
+// SurvivorRanks numbers the survivors densely in processor order and
+// marks crashed processors −1: crashing 1 and 3 of 5 leaves ranks
+// [0 −1 1 −1 2] over 3 survivors.
+func TestSurvivorRanks(t *testing.T) {
+	m := newMemMachine(t, 5, 8, 1)
+	if rank, n := m.SurvivorRanks(); n != 5 || !slices.Equal(rank, []int{0, 1, 2, 3, 4}) {
+		t.Fatalf("before crashes: SurvivorRanks = %v, %d, want the identity over 5", rank, n)
+	}
+	m.InjectFaults(scripted(map[int]engine.Verdict{
+		0: {Class: engine.FaultCrash, Err: errScripted, Proc: 1, Addr: -1},
+		1: {Class: engine.FaultCrash, Err: errScripted, Proc: 3, Addr: -1},
+	}), engine.RetryPolicy{}, true)
+	for phase := 0; phase < 2; phase++ {
+		m.Phase(func(c *engine.MemCtx[int64]) { c.Write(c.Proc(), 1) })
+	}
+	if err := m.Err(); err != nil {
+		t.Fatal(err)
+	}
+	rank, n := m.SurvivorRanks()
+	if want := []int{0, -1, 1, -1, 2}; n != 3 || !slices.Equal(rank, want) {
+		t.Errorf("SurvivorRanks = %v, %d, want %v, 3", rank, n, want)
 	}
 }
 

@@ -25,11 +25,8 @@ func naiveMemMerge(req MemMergeReq) MergeStats {
 		}
 	}
 	for p, col := range req.Writes {
-		for _, e := range col {
-			if req.Packed {
-				e >>= 1
-			}
-			add(writers, e, p)
+		for _, a := range col {
+			add(writers, a, p)
 		}
 	}
 	st := MergeStats{Viol: -1}
@@ -49,8 +46,8 @@ func naiveMemMerge(req MemMergeReq) MergeStats {
 
 // randomMergeReq builds a request over cells with about half the
 // processors silent, and duplicate requests within a processor.
-func randomMergeReq(rng *rand.Rand, procs, cells int, packed bool) MemMergeReq {
-	req := MemMergeReq{Cells: cells, Packed: packed}
+func randomMergeReq(rng *rand.Rand, procs, cells int) MemMergeReq {
+	req := MemMergeReq{Cells: cells}
 	for p := 0; p < procs; p++ {
 		var reads, writes []int32
 		if rng.Intn(2) == 0 {
@@ -58,11 +55,7 @@ func randomMergeReq(rng *rand.Rand, procs, cells int, packed bool) MemMergeReq {
 				reads = append(reads, int32(rng.Intn(cells)))
 			}
 			for i := rng.Intn(8); i > 0; i-- {
-				w := int32(rng.Intn(cells))
-				if packed {
-					w = w<<1 | int32(rng.Intn(2))
-				}
-				writes = append(writes, w)
+				writes = append(writes, int32(rng.Intn(cells)))
 			}
 		}
 		req.Reads = append(req.Reads, reads)
@@ -73,67 +66,61 @@ func randomMergeReq(rng *rand.Rand, procs, cells int, packed bool) MemMergeReq {
 
 // runFed merges req over [lo, hi) through the run-fed API the way a
 // sparse-frame worker does: only non-empty columns, each pre-filtered to
-// the range (write entries by their unpacked cell).
+// the range.
 func runFed(g *MemMerger, req MemMergeReq, lo, hi int) MergeStats {
-	filter := func(col []int32, packed bool) []int32 {
+	filter := func(col []int32) []int32 {
 		var out []int32
-		for _, e := range col {
-			a := e
-			if packed {
-				a >>= 1
-			}
+		for _, a := range col {
 			if int(a) >= lo && int(a) < hi {
-				out = append(out, e)
+				out = append(out, a)
 			}
 		}
 		return out
 	}
 	g.Begin(lo, hi)
 	for p, col := range req.Reads {
-		if run := filter(col, false); len(run) > 0 {
+		if run := filter(col); len(run) > 0 {
 			g.Read(p, run)
 		}
 	}
 	for p, col := range req.Writes {
-		if run := filter(col, req.Packed); len(run) > 0 {
-			g.Write(p, run, req.Packed)
+		if run := filter(col); len(run) > 0 {
+			g.Write(p, run)
 		}
 	}
 	return g.End()
 }
 
-// TestMemMergerRunFedMatchesMerge checks, on random requests packed and
-// unpacked, that Merge over the whole space equals the set-based
+// TestMemMergerRunFedMatchesMerge checks, on random requests, that
+// Merge over the whole space equals the set-based
 // statement of the rules, and that the run-fed API over per-rank ranges
 // — split unevenly when cells % ranks ≠ 0 — folds to the same answer.
 func TestMemMergerRunFedMatchesMerge(t *testing.T) {
 	rng := rand.New(rand.NewSource(1998))
 	var whole, fed MemMerger
-	for _, packed := range []bool{false, true} {
-		for _, ranks := range []int{1, 2, 3, 4} {
-			t.Run(fmt.Sprintf("packed%v_w%d", packed, ranks), func(t *testing.T) {
-				for trial := 0; trial < 200; trial++ {
-					cells := 1 + rng.Intn(40)
-					req := randomMergeReq(rng, 1+rng.Intn(12), cells, packed)
-					want := naiveMemMerge(req)
-					if got := whole.Merge(req, 0, cells); got != want {
-						t.Fatalf("trial %d: Merge = %+v, want %+v", trial, got, want)
-					}
-					got := MergeStats{Viol: -1}
-					for r := 0; r < ranks; r++ {
-						st := runFed(&fed, req, r*cells/ranks, (r+1)*cells/ranks)
-						got.KRead = max(got.KRead, st.KRead)
-						got.KWrite = max(got.KWrite, st.KWrite)
-						if st.Viol >= 0 && (got.Viol < 0 || st.Viol < got.Viol) {
-							got.Viol = st.Viol
-						}
-					}
-					if got != want {
-						t.Fatalf("trial %d (cells %d): run-fed over %d ranks = %+v, want %+v", trial, cells, ranks, got, want)
+	for _, ranks := range []int{1, 2, 3, 4} {
+		t.Run(fmt.Sprintf("w%d", ranks), func(t *testing.T) {
+			for trial := 0; trial < 200; trial++ {
+				cells := 1 + rng.Intn(40)
+				req := randomMergeReq(rng, 1+rng.Intn(12), cells)
+				want := naiveMemMerge(req)
+				if got := whole.Merge(req, 0, cells); got != want {
+					t.Fatalf("trial %d: Merge = %+v, want %+v", trial, got, want)
+				}
+				got := MergeStats{Viol: -1}
+				for r := 0; r < ranks; r++ {
+					st := runFed(&fed, req, r*cells/ranks, (r+1)*cells/ranks)
+					got.KRead = max(got.KRead, st.KRead)
+					got.KWrite = max(got.KWrite, st.KWrite)
+					if st.Viol >= 0 && (got.Viol < 0 || st.Viol < got.Viol) {
+						got.Viol = st.Viol
 					}
 				}
-			})
-		}
+				if got != want {
+					t.Fatalf("trial %d (cells %d): run-fed over %d ranks = %+v, want %+v", trial, cells, ranks, got, want)
+				}
+			}
+		})
 	}
 }
 

@@ -66,40 +66,6 @@ func TreeQSM(m *qsm.Machine, base, n, fanin int) (int, error) {
 	return cur, m.Err()
 }
 
-// TreeBool is TreeQSM on the bit-packed Boolean machine: the same k-ary
-// XOR tree issuing the same request sequence (each node's children in
-// one ReadWord, parity by popcount), so its cost report and event
-// stream are byte-identical to TreeQSM's on the same input — at 1 bit
-// per cell instead of 64.
-func TreeBool(m *qsm.BoolMachine, base, n, fanin int) (int, error) {
-	if err := checkInput(m.MemSize(), base, n); err != nil {
-		return 0, err
-	}
-	if fanin < 2 || fanin > MaxFanin {
-		return 0, fmt.Errorf("parity: fan-in %d outside [2,%d]", fanin, MaxFanin)
-	}
-	cur, width := base, n
-	p := m.P()
-	for width > 1 {
-		next := m.MemSize()
-		nw := (width + fanin - 1) / fanin
-		if err := m.Grow(next + nw); err != nil {
-			return 0, err
-		}
-		curL, widthL := cur, width
-		m.Phase(func(c *qsm.BoolCtx) {
-			for j := c.Proc(); j < nw; j += p {
-				cnt := min(fanin, widthL-j*fanin)
-				w := c.ReadWord(curL+j*fanin, cnt)
-				c.Op(cnt)
-				c.Write(next+j, bits.OnesCount64(w)&1 == 1)
-			}
-		})
-		cur, width = next, nw
-	}
-	return cur, m.Err()
-}
-
 // TreeQSMDegraded is TreeQSM for machines running in degraded fault mode:
 // before every phase the work is re-partitioned over the surviving
 // (non-crashed) processors, so a processor crash shifts its tree slice to
@@ -116,7 +82,7 @@ func TreeQSMDegraded(m *qsm.Machine, base, n, fanin int) (int, error) {
 	}
 	cur, width := base, n
 	for width > 1 {
-		rank, ns := survivorRanks(m)
+		rank, ns := m.SurvivorRanks()
 		if ns == 0 {
 			return 0, fmt.Errorf("parity: all %d processors crashed", m.P())
 		}
@@ -145,24 +111,6 @@ func TreeQSMDegraded(m *qsm.Machine, base, n, fanin int) (int, error) {
 		cur, width = next, nw
 	}
 	return cur, m.Err()
-}
-
-// survivorRanks maps each processor to its dense rank among the
-// survivors (−1 for masked processors) and returns the survivor count.
-// Degraded runners recompute it before every phase: a crash lands at a
-// phase barrier and masks from the next phase on.
-func survivorRanks(m *qsm.Machine) ([]int, int) {
-	rank := make([]int, m.P())
-	ns := 0
-	for i := range rank {
-		if m.CrashedProc(i) {
-			rank[i] = -1
-		} else {
-			rank[i] = ns
-			ns++
-		}
-	}
-	return rank, ns
 }
 
 // TreeQSMRounds is the p-processor rounds algorithm: fan-in max(2, ⌈n/p⌉).

@@ -176,13 +176,7 @@ func (md qsmModel) Scrub([]int64) {}
 func (md qsmModel) Render(v int64) string { return strconv.FormatInt(v, 10) } //lint:hotpathalloc-ok strconv's small-int fast path returns shared constants; rendering runs only when tracing
 
 func (md qsmModel) PhaseCost(o engine.Outcome) cost.PhaseCost {
-	return phaseCost(md.m.rule, md.m.Params(), md.m.N(), o)
-}
-
-// phaseCost is the QSM-family cost rule shared by the word-valued and
-// bit-packed machines: one charging function, so the two produce
-// identical cost reports for identical request sequences.
-func phaseCost(rule cost.Rule, pr cost.Params, n int, o engine.Outcome) cost.PhaseCost {
+	rule, pr, n := md.m.rule, md.m.Params(), md.m.N()
 	kr, kw := o.KRead, o.KWrite
 	// A phase with no reads or writes has contention one by definition.
 	if kr == 0 && kw == 0 {

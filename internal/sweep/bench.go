@@ -115,7 +115,6 @@ func RunBenchSnapshot(label, filter string) (*BenchSnapshot, error) {
 		{"Sweep/commit/qsm-high", benchQSMHigh},
 		{"Sweep/commit/qsm-tree8", benchQSMTree8},
 		{"Sweep/commit/qsm-batch", benchQSMBatch},
-		{"Sweep/commit/bool-word", benchBoolWord},
 		{"Sweep/commit/bsp-shift", benchBSPShift},
 		{"Sweep/commit/gsm-gather", benchGSMGather},
 		{"Sweep/cell/qsm-parity", benchRunCell},
@@ -241,42 +240,6 @@ func benchQSMBatch(name string) (BenchResult, error) {
 		c.ReadBlock(pr*k, k)
 		c.WriteFill(p*k+pr*k, k, int64(pr))
 	})
-}
-
-// benchBoolWord gates the bit-packed memory: one 64-bit ReadWord (64
-// charged cell reads) plus a summary-bit write per processor.
-func benchBoolWord(name string) (BenchResult, error) {
-	const p = benchCommitProcs
-	cfg := qsm.Config{Rule: cost.RuleQSM, P: p, G: 2, N: p, MemCells: 65 * p}
-	body := func(c *qsm.BoolCtx) {
-		w := c.ReadWord(c.Proc()*64, 64)
-		c.Write(64*p+c.Proc(), w != 0)
-	}
-	probe, err := qsm.NewBool(cfg)
-	if err != nil {
-		return BenchResult{}, err
-	}
-	probe.Phase(body)
-	if probe.Err() != nil {
-		return BenchResult{}, probe.Err()
-	}
-	metrics := map[string]float64{"modelTime": float64(probe.Report().TotalTime)}
-	r := testing.Benchmark(func(b *testing.B) {
-		m, err := qsm.NewBool(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			m.Phase(body)
-		}
-		b.StopTimer()
-		if m.Err() != nil {
-			b.Fatal(m.Err())
-		}
-	})
-	return result(name, metrics, r)
 }
 
 func benchBSPShift(name string) (BenchResult, error) {

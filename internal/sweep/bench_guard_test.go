@@ -3,7 +3,6 @@ package sweep
 import (
 	"testing"
 
-	"repro/internal/cost"
 	"repro/internal/qsm"
 )
 
@@ -22,7 +21,6 @@ var benchGateEntries = []string{
 	"Sweep/commit/qsm-high",
 	"Sweep/commit/qsm-tree8",
 	"Sweep/commit/qsm-batch",
-	"Sweep/commit/bool-word",
 	"Sweep/commit/bsp-shift",
 	"Sweep/commit/gsm-gather",
 	"Sweep/cell/qsm-parity",
@@ -30,9 +28,9 @@ var benchGateEntries = []string{
 
 // TestBenchBaselineGateEntries guards the committed BENCH_pr7.json
 // without paying for a timed benchmark run: every gate entry must be
-// present, and the deterministic modelTime of the two PR 7 columnar
-// entries (qsm-batch, bool-word) is re-derived from a single probe
-// phase and compared exactly. Hot-path edits forced by the lint sweep
+// present, and the deterministic modelTime of the PR 7 columnar entry
+// (qsm-batch) is re-derived from a single probe phase and compared
+// exactly. Hot-path edits forced by the lint sweep
 // can change allocation behavior without failing any functional test;
 // this pins the model-side half of the gate so such edits cannot
 // silently drift the priced execution, and CI's full bench-gate step
@@ -78,21 +76,6 @@ func TestBenchBaselineGateEntries(t *testing.T) {
 		t.Fatalf("qsm-batch phase: %v", batch.Err())
 	}
 	checkModelTime(t, byName, "Sweep/commit/qsm-batch", float64(batch.Report().TotalTime))
-
-	// bool-word: one bit-packed word-scan phase, same shape as
-	// benchBoolWord's probe.
-	word, err := qsm.NewBool(qsm.Config{Rule: cost.RuleQSM, P: p, G: 2, N: p, MemCells: 65 * p})
-	if err != nil {
-		t.Fatalf("bool-word machine: %v", err)
-	}
-	word.Phase(func(c *qsm.BoolCtx) {
-		w := c.ReadWord(c.Proc()*64, 64)
-		c.Write(64*p+c.Proc(), w != 0)
-	})
-	if word.Err() != nil {
-		t.Fatalf("bool-word phase: %v", word.Err())
-	}
-	checkModelTime(t, byName, "Sweep/commit/bool-word", float64(word.Report().TotalTime))
 }
 
 func checkModelTime(t *testing.T, byName map[string]BenchResult, name string, got float64) {
