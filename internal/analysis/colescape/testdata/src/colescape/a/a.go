@@ -105,3 +105,32 @@ func runOf(a *memArena, j, k int) []int32 {
 func countReads(a *memArena) int {
 	return len(a.rAddr)
 }
+
+// routeArena mirrors the routing engine's per-chunk staging arena; a
+// backend request borrows its columns for one merge call only.
+type routeArena struct {
+	dst, src []int32
+}
+
+// keepDsts retains a chunk's destination column past the superstep.
+func keepDsts(a *routeArena, h *colHolder) {
+	h.cols = a.dst // want `field dst, derived from pooled engine storage, escapes the phase via store to field cols`
+}
+
+// csrInbox mirrors the ping-ponged CSR inbox: one flat message column
+// and its row offsets.
+type csrInbox struct {
+	msg []int64
+	off []int
+}
+
+// row returns one component's deliveries: a borrow of the flat column.
+func row(c *csrInbox, d int) []int64 {
+	return c.msg[c.off[d]:c.off[d+1]] // want `column sub-slice, derived from pooled engine storage, escapes the phase via return value`
+}
+
+// regrow stores a resized column back INTO its own pooled field: pool
+// management, not an escape.
+func regrow(c *csrInbox, n int) {
+	c.msg = c.msg[:n]
+}

@@ -44,35 +44,46 @@ func newCoord(t *testing.T, workers int) *proc.Coordinator {
 }
 
 // randomMemReq builds a deterministic pseudo-random merge request over
-// the given cell count.
-func randomMemReq(rng *rand.Rand, procs, cells int) engine.MemMergeReq {
-	req := engine.MemMergeReq{Phase: 1, Attempt: 1, Cells: cells}
+// the given cell count, in two chunk columns, and its answer from the
+// dense per-processor columns it was built from (each processor's whole
+// column fed as one run through the reference merger).
+func randomMemReq(rng *rand.Rand, procs, cells int) (engine.MemMergeReq, engine.MergeStats) {
+	var reads, writes [][]int32
+	var ref engine.MemMerger
+	ref.Begin(0, cells)
 	for p := 0; p < procs; p++ {
-		var reads, writes []int32
+		var r, w []int32
 		for i := rng.Intn(20); i > 0; i-- {
-			reads = append(reads, int32(rng.Intn(cells)))
+			r = append(r, int32(rng.Intn(cells)))
 		}
 		for i := rng.Intn(20); i > 0; i-- {
-			writes = append(writes, int32(rng.Intn(cells)))
+			w = append(w, int32(rng.Intn(cells)))
 		}
-		req.Reads = append(req.Reads, reads)
-		req.Writes = append(req.Writes, writes)
+		reads, writes = append(reads, r), append(writes, w)
 	}
-	return req
+	for p, col := range reads {
+		ref.Read(p, col)
+	}
+	for p, col := range writes {
+		ref.Write(p, col)
+	}
+	req := engine.MemMergeReq{Phase: 1, Attempt: 1, Cells: cells, P: procs}
+	req.Reads, req.ReadProcs = proc.ChunkCols(reads, 2)
+	req.Writes, req.WriteProcs = proc.ChunkCols(writes, 2)
+	return req, ref.End()
 }
 
 // TestMergeMemMatchesReference pins the distributed merge to the
-// reference merger over the full cell space, across worker counts.
+// dense per-processor reference over the full cell space, across worker
+// counts.
 func TestMergeMemMatchesReference(t *testing.T) {
 	for _, workers := range []int{1, 3} {
 		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
 			c := newCoord(t, workers)
 			rng := rand.New(rand.NewSource(7))
-			var ref engine.MemMerger
 			for trial := 0; trial < 25; trial++ {
-				req := randomMemReq(rng, 5, 64)
+				req, want := randomMemReq(rng, 5, 64)
 				req.Phase = trial
-				want := ref.Merge(req, 0, req.Cells)
 				got, err := c.MergeMem(req)
 				if err != nil {
 					t.Fatalf("trial %d: MergeMem: %v", trial, err)
@@ -91,17 +102,20 @@ func TestMergeRouteMatchesReference(t *testing.T) {
 		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
 			c := newCoord(t, workers)
 			rng := rand.New(rand.NewSource(11))
-			var ref engine.RouteMerger
 			for trial := 0; trial < 25; trial++ {
 				req := engine.RouteMergeReq{Phase: trial, Attempt: 1, P: 9}
-				for s := 0; s < req.P; s++ {
-					var col []int32
+				dsts := make([][]int32, req.P)
+				recv := make([]int64, req.P)
+				var want engine.RouteStats
+				for s := range dsts {
 					for i := rng.Intn(15); i > 0; i-- {
-						col = append(col, int32(rng.Intn(req.P)))
+						d := rng.Intn(req.P)
+						dsts[s] = append(dsts[s], int32(d))
+						recv[d]++
+						want.HRecv = max(want.HRecv, recv[d])
 					}
-					req.Dsts = append(req.Dsts, col)
 				}
-				want := ref.Merge(req, 0, req.P)
+				req.Dsts, req.Srcs = proc.ChunkCols(dsts, 2)
 				got, err := c.MergeRoute(req)
 				if err != nil {
 					t.Fatalf("trial %d: MergeRoute: %v", trial, err)
@@ -118,7 +132,7 @@ func TestMergeRouteMatchesReference(t *testing.T) {
 // hook and checks the next barrier succeeds on a respawned replacement.
 func TestCrashRealizeRespawns(t *testing.T) {
 	c := newCoord(t, 2)
-	req := randomMemReq(rand.New(rand.NewSource(3)), 4, 32)
+	req, _ := randomMemReq(rand.New(rand.NewSource(3)), 4, 32)
 	want, err := c.MergeMem(req)
 	if err != nil {
 		t.Fatalf("pre-kill merge: %v", err)
@@ -144,7 +158,7 @@ func TestCrashRealizeRespawns(t *testing.T) {
 // recovers on the next attempt.
 func TestDropRealizeTimesOutTransient(t *testing.T) {
 	c := newCoord(t, 2)
-	req := engine.RouteMergeReq{Phase: 0, Attempt: 1, P: 4, Dsts: [][]int32{{1}, {2}, {3}, {0}}}
+	req := engine.RouteMergeReq{Phase: 0, Attempt: 1, P: 4, Dsts: [][]int32{{1, 2, 3, 0}}, Srcs: [][]int32{{0, 1, 2, 3}}}
 	c.Realize(engine.InjectCtx{}, engine.Verdict{Class: engine.FaultTransient, Addr: 1, Drop: true})
 	_, err := c.MergeRoute(req)
 	var te *engine.TransportError
@@ -169,7 +183,7 @@ func TestDupRealizeIsHarmless(t *testing.T) {
 	var ref engine.MemMerger
 	c.Realize(engine.InjectCtx{}, engine.Verdict{Class: engine.FaultTransient, Addr: 0, Drop: false})
 	for trial := 0; trial < 3; trial++ {
-		req := randomMemReq(rng, 4, 48)
+		req, _ := randomMemReq(rng, 4, 48)
 		req.Phase = trial
 		want := ref.Merge(req, 0, req.Cells)
 		got, err := c.MergeMem(req)
@@ -195,7 +209,7 @@ func TestRespawnBudgetExhaustionPermanent(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 	defer c.Close()
-	req := randomMemReq(rand.New(rand.NewSource(9)), 2, 16)
+	req, _ := randomMemReq(rand.New(rand.NewSource(9)), 2, 16)
 	kill := func() {
 		c.Realize(engine.InjectCtx{Cells: 16}, engine.Verdict{Class: engine.FaultCrash, Proc: 0})
 		time.Sleep(50 * time.Millisecond)
@@ -221,7 +235,7 @@ func TestCloseFailsMergesPermanently(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
 	}
-	_, err := c.MergeMem(engine.MemMergeReq{Cells: 4, Reads: [][]int32{nil}, Writes: [][]int32{nil}})
+	_, err := c.MergeMem(engine.MemMergeReq{Cells: 4, P: 1})
 	var te *engine.TransportError
 	if !errors.As(err, &te) || !te.Permanent {
 		t.Fatalf("merge after Close: err = %v, want permanent TransportError", err)
@@ -277,10 +291,12 @@ func TestNewKillsStartedRanksOnFailure(t *testing.T) {
 // processor, the shape of a parity level.
 func BenchmarkMergeMem(b *testing.B) {
 	const p = 1 << 16
-	req := engine.MemMergeReq{Cells: p, Reads: make([][]int32, p), Writes: make([][]int32, p)}
-	for i := range req.Reads {
-		req.Reads[i] = []int32{int32(i)}
+	reads := make([][]int32, p)
+	for i := range reads {
+		reads[i] = []int32{int32(i)}
 	}
+	req := engine.MemMergeReq{Cells: p, P: p}
+	req.Reads, req.ReadProcs = proc.ChunkCols(reads, 2)
 	for _, workers := range []int{1, 2} {
 		b.Run(fmt.Sprintf("w%d", workers), func(b *testing.B) {
 			c, err := proc.New(testOptions(workers))

@@ -17,8 +17,10 @@ import (
 //
 // That split is what makes a distributed backend possible without
 // touching the determinism contract: the merge statistics are a pure
-// function of the (addr, proc) request columns, the columns are built in
-// ascending processor order on the coordinator, and the backend's answer
+// function of the (addr, proc) request columns, which are the chunk
+// arenas' own columns in ascending processor order, handed over without
+// any per-processor header (so a merge request costs its entries, never
+// p), and the backend's answer
 // is compared against nothing — it IS the answer, so a backend that
 // implements the reference rules (see MemMerger / RouteMerger) produces
 // byte-identical event streams, cost reports and memory images to the
@@ -30,9 +32,16 @@ import (
 // unless the backend declares the error permanent (TransportError with
 // Permanent set), which poisons the machine diagnosably.
 
-// MemMergeReq is one shared-memory barrier merge: the per-processor
-// request columns of the phase attempt, borrowed from the engine's chunk
-// arenas (valid only for the duration of the MergeMem call).
+// MemMergeReq is one shared-memory barrier merge: the request columns
+// of the phase attempt as the engine's chunk arenas hold them, borrowed
+// for the duration of the MergeMem call. Column j of each kind is chunk
+// j's: an address column and its parallel issuing-processor column.
+// Chunks cover ascending processor ranges and each chunk lists its
+// requests by ascending processor and, per processor, in issue order, so
+// processor ids never decrease along the concatenated columns and one
+// processor's requests of a kind are one contiguous run. A request costs
+// its entries, not p: there is no per-processor header, and processors
+// without requests (silent or crashed) do not appear.
 type MemMergeReq struct {
 	// Phase is the zero-based index the phase would commit as; Attempt
 	// the 1-based attempt counter. Both are diagnostic — the merge result
@@ -40,9 +49,12 @@ type MemMergeReq struct {
 	Phase, Attempt int
 	// Cells is the current shared-memory size.
 	Cells int
-	// Reads and Writes hold one column per processor, index = processor
-	// id. Crashed (masked) processors contribute empty columns.
-	Reads, Writes [][]int32
+	// P is the processor count; processor ids are in [0, P).
+	P int
+	// Reads and Writes hold one address column per chunk; ReadProcs and
+	// WriteProcs the parallel processor columns (same shape).
+	Reads, ReadProcs   [][]int32
+	Writes, WriteProcs [][]int32
 }
 
 // MergeStats is the shared-memory merge answer: the paper's per-cell
@@ -56,16 +68,18 @@ type MergeStats struct {
 	Viol int32
 }
 
-// RouteMergeReq is one message-routing barrier merge: the per-sender
-// destination columns of the superstep attempt (message payloads stay on
-// the coordinator).
+// RouteMergeReq is one message-routing barrier merge: the destination
+// and sender columns of the superstep attempt, one pair per chunk arena,
+// laid out like MemMergeReq's (message payloads stay on the
+// coordinator).
 type RouteMergeReq struct {
 	// Phase and Attempt are diagnostic, as in MemMergeReq.
 	Phase, Attempt int
-	// P is the component count; destinations are in [0, P).
+	// P is the component count; destinations and senders are in [0, P).
 	P int
-	// Dsts holds one destination column per sender, index = component id.
-	Dsts [][]int32
+	// Dsts holds one destination column per chunk; Srcs the parallel
+	// sender columns.
+	Dsts, Srcs [][]int32
 }
 
 // RouteStats is the routing merge answer: the receive side of the
@@ -185,7 +199,8 @@ func (c *Core) transportStatus(err error) PhaseStatus {
 // The rules live in the run-fed API — Begin, then Read per processor,
 // then Write per processor, then End — so a caller holding only the
 // non-empty columns (a worker decoding a sparse frame) pays for the
-// requests, not for p. Merge drives the same API over dense columns.
+// requests, not for p. Merge drives the same API over the chunk columns
+// of a request, one run per processor.
 type MemMerger struct {
 	count, last []int32
 	touched     []int32
@@ -201,17 +216,26 @@ type MemMerger struct {
 // or passes the full space).
 func (g *MemMerger) Merge(req MemMergeReq, lo, hi int) MergeStats {
 	g.Begin(lo, hi)
-	for i, col := range req.Reads {
-		if len(col) > 0 {
-			g.Read(i, col)
-		}
+	for j, col := range req.Reads {
+		eachRun(col, req.ReadProcs[j], g.Read)
 	}
-	for i, col := range req.Writes {
-		if len(col) > 0 {
-			g.Write(i, col)
-		}
+	for j, col := range req.Writes {
+		eachRun(col, req.WriteProcs[j], g.Write)
 	}
 	return g.End()
+}
+
+// eachRun splits a chunk column into its per-processor runs through the
+// parallel processor column and calls fn once per run, in column order.
+func eachRun(col, procs []int32, fn func(proc int, run []int32)) {
+	for j := 0; j < len(col); {
+		k := j + 1
+		for k < len(col) && procs[k] == procs[j] {
+			k++
+		}
+		fn(int(procs[j]), col[j:k:k])
+		j = k
+	}
 }
 
 // Begin starts a merge over the cells in [lo, hi).
@@ -316,10 +340,8 @@ type RouteMerger struct {
 // destinations outside the range are ignored.
 func (g *RouteMerger) Merge(req RouteMergeReq, lo, hi int) RouteStats {
 	g.Begin(lo, hi)
-	for _, col := range req.Dsts {
-		if len(col) > 0 {
-			g.Send(col)
-		}
+	for j, col := range req.Dsts {
+		eachRun(col, req.Srcs[j], func(_ int, run []int32) { g.Send(run) })
 	}
 	return g.End()
 }
@@ -335,7 +357,7 @@ func (g *RouteMerger) Begin(lo, hi int) {
 	g.touched = g.touched[:0]
 }
 
-// Send counts one sender's destination column.
+// Send counts one sender's run of destinations.
 func (g *RouteMerger) Send(dsts []int32) {
 	lo, width := g.lo, g.width
 	recv := g.recv[:width]

@@ -162,6 +162,6 @@ func (s *Sends[M]) StageBatch(dsts []int32, msgs []M) {
 			len(dsts), len(msgs)))
 		return
 	}
-	s.msgs = append(s.msgs, msgs...)
-	s.dsts = append(s.dsts, dsts...)
+	s.a.msg = append(s.a.msg, msgs...)
+	s.a.dst = append(s.a.dst, dsts...)
 }

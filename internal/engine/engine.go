@@ -15,8 +15,9 @@
 //     and read+write violation detection, and deterministic write
 //     application.
 //   - Route[M] is the message-routing superstep engine (BSP, generic
-//     over the message type): staged sends, h-relation measurement and
-//     deterministic inbox delivery with ping-ponged buffers.
+//     over the message type): sends staged into per-chunk arenas,
+//     h-relation measurement and deterministic delivery into a
+//     ping-ponged CSR inbox (one flat message slice plus p+1 offsets).
 //
 // A simulator package is a thin adapter: it supplies a Model (naming,
 // cost rule, round classification, commit semantics — last-writer-wins,
@@ -183,9 +184,10 @@ const (
 	// PhaseAborted means the phase detected a model violation or a
 	// permanent fault and poisoned the machine; nothing committed.
 	PhaseAborted
-	// PhaseRetry means an injected transient fault was detected after
-	// commit and the machine rolled back to the last committed phase; the
-	// phase should be re-executed under the RetryPolicy.
+	// PhaseRetry means an injected transient fault (or a transient
+	// backend failure) stopped the attempt at the barrier and the machine
+	// rolled back to the last committed phase; the phase should be
+	// re-executed under the RetryPolicy.
 	PhaseRetry
 )
 

@@ -292,6 +292,29 @@ func TestRouteSuperstepLifecycle(t *testing.T) {
 	}
 }
 
+// TestRouteSteadyStateAllocs: after warm-up a superstep reuses its
+// chunk arenas, the ping-ponged inbox and the counting-sort scratch;
+// only the per-superstep dispatch closures and the amortised report
+// append remain.
+func TestRouteSteadyStateAllocs(t *testing.T) {
+	const p = 64
+	m := newRouteMachine(t, p, 1)
+	body := func(i int, s *engine.Sends[int64]) {
+		s.AddWork(2)
+		s.Stage(int32((i+1)%p), int64(i))
+		s.StageBatch([]int32{int32(i / 2), int32(p - 1 - i)}, []int64{1, 2})
+	}
+	m.Superstep(body)
+	m.Superstep(body)
+	if err := m.Err(); err != nil {
+		t.Fatal(err)
+	}
+	avg := testing.AllocsPerRun(100, func() { m.Superstep(body) })
+	if avg > 8 {
+		t.Errorf("steady-state superstep allocates %.1f objects/run, want ≤ 8", avg)
+	}
+}
+
 func TestRouteFailurePoisoning(t *testing.T) {
 	m := newRouteMachine(t, 3, 1)
 	boom := errors.New("rtest: bad destination")

@@ -29,12 +29,14 @@ import (
 //     back to the last committed phase and re-running the body is
 //     semantically a no-op plus the model-time cost of the retry.
 //
-// A transient fault deliberately fires *after* the commit applies: the
-// phase charges, writes/deliveries land, and a deterministically chosen
-// cell (or inbox) is corrupted — then the barrier "detects" the fault and
-// rolls the machine back to the checkpoint taken at phase start. This
-// gives Checkpoint/Rollback real state to restore (memory contents and
-// cost counters exactly), which the failure-path tests pin down.
+// A transient fault aborts the attempt at the barrier: nothing is
+// charged, no write or delivery lands, and the machine rolls back to the
+// checkpoint taken at phase start — the cost report exactly, and the
+// state phase bodies mutate outside the barrier (the BSP's private
+// memories, through Snapshotter). Damaging committed state first and
+// repairing it by the same rollback would be unobservable work, so the
+// engines do not do it; the failure-path tests pin down that the rollback
+// is exact.
 
 // FaultClass classifies an injected fault's effect on the machine
 // lifecycle.
@@ -43,7 +45,7 @@ type FaultClass int
 const (
 	// FaultNone means the attempt proceeds unfaulted.
 	FaultNone FaultClass = iota
-	// FaultTransient aborts the attempt after commit, rolls the machine
+	// FaultTransient aborts the attempt at the barrier, rolls the machine
 	// back to the last committed phase and schedules a retry under the
 	// machine's RetryPolicy.
 	FaultTransient
@@ -99,12 +101,15 @@ type Verdict struct {
 	Err error
 	// Proc is the crashing processor for FaultCrash.
 	Proc int
-	// Addr is the corruption target of a FaultTransient: the shared-
-	// memory cell whose committed value is damaged, or the component
-	// whose delivered inbox is damaged. Negative means no corruption.
+	// Addr is the target a FaultTransient names: a shared-memory cell,
+	// or the component whose deliveries the fault hits (negative: none).
+	// The engine rolls the attempt back without touching it; backends
+	// with physical failure modes aim their echo of a routing fault at
+	// the component's rank (see FaultRealizer).
 	Addr int
-	// Drop selects the routing corruption flavor: drop the corrupted
-	// inbox's first delivery instead of duplicating it.
+	// Drop selects the routing fault flavor: a dropped message instead
+	// of a duplicated one (echoed by such backends as a withheld or a
+	// duplicated frame).
 	Drop bool
 	// Violation marks an injected contention-rule violation: shared-
 	// memory engines additionally wrap the model's Violation sentinel so

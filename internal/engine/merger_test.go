@@ -6,11 +6,47 @@ import (
 	"testing"
 )
 
+// denseReq is a merge request in dense per-processor form — reads[p]
+// and writes[p] are processor p's columns — the reference shape the
+// chunk-column requests of the engine are checked against.
+type denseReq struct {
+	cells         int
+	reads, writes [][]int32
+}
+
+// chunked lays dense per-processor columns out the way the engine's
+// chunk arenas hold them: the processors split into `chunks` contiguous
+// ranges, each range one address column plus its parallel processor
+// column. Silent processors leave no trace.
+func chunked(dense [][]int32, chunks int) (addrs, procs [][]int32) {
+	width := (len(dense) + chunks - 1) / chunks
+	for lo := 0; lo < len(dense); lo += width {
+		var a, q []int32
+		for p := lo; p < min(lo+width, len(dense)); p++ {
+			for _, v := range dense[p] {
+				a = append(a, v)
+				q = append(q, int32(p))
+			}
+		}
+		addrs, procs = append(addrs, a), append(procs, q)
+	}
+	return addrs, procs
+}
+
+// memReq is d as the engine would hand it to a backend, in `chunks`
+// chunk columns.
+func (d denseReq) memReq(chunks int) MemMergeReq {
+	req := MemMergeReq{Cells: d.cells, P: len(d.reads)}
+	req.Reads, req.ReadProcs = chunked(d.reads, chunks)
+	req.Writes, req.WriteProcs = chunked(d.writes, chunks)
+	return req
+}
+
 // naiveMemMerge states the shared-memory merge rules directly, with
 // sets: KRead is the most distinct readers of any cell; KWrite the most
 // distinct writers of any cell nobody read; Viol the smallest cell both
 // read and written (−1 = none).
-func naiveMemMerge(req MemMergeReq) MergeStats {
+func naiveMemMerge(req denseReq) MergeStats {
 	readers := map[int32]map[int]bool{}
 	writers := map[int32]map[int]bool{}
 	add := func(m map[int32]map[int]bool, a int32, p int) {
@@ -19,12 +55,12 @@ func naiveMemMerge(req MemMergeReq) MergeStats {
 		}
 		m[a][p] = true
 	}
-	for p, col := range req.Reads {
+	for p, col := range req.reads {
 		for _, a := range col {
 			add(readers, a, p)
 		}
 	}
-	for p, col := range req.Writes {
+	for p, col := range req.writes {
 		for _, a := range col {
 			add(writers, a, p)
 		}
@@ -46,8 +82,8 @@ func naiveMemMerge(req MemMergeReq) MergeStats {
 
 // randomMergeReq builds a request over cells with about half the
 // processors silent, and duplicate requests within a processor.
-func randomMergeReq(rng *rand.Rand, procs, cells int) MemMergeReq {
-	req := MemMergeReq{Cells: cells}
+func randomMergeReq(rng *rand.Rand, procs, cells int) denseReq {
+	req := denseReq{cells: cells}
 	for p := 0; p < procs; p++ {
 		var reads, writes []int32
 		if rng.Intn(2) == 0 {
@@ -58,16 +94,16 @@ func randomMergeReq(rng *rand.Rand, procs, cells int) MemMergeReq {
 				writes = append(writes, int32(rng.Intn(cells)))
 			}
 		}
-		req.Reads = append(req.Reads, reads)
-		req.Writes = append(req.Writes, writes)
+		req.reads = append(req.reads, reads)
+		req.writes = append(req.writes, writes)
 	}
 	return req
 }
 
 // runFed merges req over [lo, hi) through the run-fed API the way a
-// sparse-frame worker does: only non-empty columns, each pre-filtered to
-// the range.
-func runFed(g *MemMerger, req MemMergeReq, lo, hi int) MergeStats {
+// sparse-frame worker does: only non-empty per-processor runs, each
+// pre-filtered to the range.
+func runFed(g *MemMerger, req denseReq, lo, hi int) MergeStats {
 	filter := func(col []int32) []int32 {
 		var out []int32
 		for _, a := range col {
@@ -78,12 +114,12 @@ func runFed(g *MemMerger, req MemMergeReq, lo, hi int) MergeStats {
 		return out
 	}
 	g.Begin(lo, hi)
-	for p, col := range req.Reads {
+	for p, col := range req.reads {
 		if run := filter(col); len(run) > 0 {
 			g.Read(p, run)
 		}
 	}
-	for p, col := range req.Writes {
+	for p, col := range req.writes {
 		if run := filter(col); len(run) > 0 {
 			g.Write(p, run)
 		}
@@ -92,9 +128,10 @@ func runFed(g *MemMerger, req MemMergeReq, lo, hi int) MergeStats {
 }
 
 // TestMemMergerRunFedMatchesMerge checks, on random requests, that
-// Merge over the whole space equals the set-based
-// statement of the rules, and that the run-fed API over per-rank ranges
-// — split unevenly when cells % ranks ≠ 0 — folds to the same answer.
+// Merge of the chunk-column request (1 to 4 chunks) over the whole space
+// equals the set-based statement of the rules on the dense per-processor
+// reference, and that the run-fed API over per-rank ranges — split
+// unevenly when cells % ranks ≠ 0 — folds to the same answer.
 func TestMemMergerRunFedMatchesMerge(t *testing.T) {
 	rng := rand.New(rand.NewSource(1998))
 	var whole, fed MemMerger
@@ -104,8 +141,9 @@ func TestMemMergerRunFedMatchesMerge(t *testing.T) {
 				cells := 1 + rng.Intn(40)
 				req := randomMergeReq(rng, 1+rng.Intn(12), cells)
 				want := naiveMemMerge(req)
-				if got := whole.Merge(req, 0, cells); got != want {
-					t.Fatalf("trial %d: Merge = %+v, want %+v", trial, got, want)
+				chunks := 1 + rng.Intn(4)
+				if got := whole.Merge(req.memReq(chunks), 0, cells); got != want {
+					t.Fatalf("trial %d (%d chunks): Merge = %+v, want %+v", trial, chunks, got, want)
 				}
 				got := MergeStats{Viol: -1}
 				for r := 0; r < ranks; r++ {
@@ -131,17 +169,19 @@ func TestRouteMergerRunFedMatchesMerge(t *testing.T) {
 	var whole, fed RouteMerger
 	for trial := 0; trial < 300; trial++ {
 		p := 1 + rng.Intn(30)
-		req := RouteMergeReq{P: p, Dsts: make([][]int32, p)}
+		dsts := make([][]int32, p)
 		recv := make([]int64, p)
 		var want RouteStats
-		for s := range req.Dsts {
+		for s := range dsts {
 			for i := rng.Intn(6); i > 0; i-- {
 				d := rng.Intn(p)
-				req.Dsts[s] = append(req.Dsts[s], int32(d))
+				dsts[s] = append(dsts[s], int32(d))
 				recv[d]++
 				want.HRecv = max(want.HRecv, recv[d])
 			}
 		}
+		req := RouteMergeReq{P: p}
+		req.Dsts, req.Srcs = chunked(dsts, 1+rng.Intn(4))
 		if got := whole.Merge(req, 0, p); got != want {
 			t.Fatalf("trial %d: Merge = %+v, want %+v", trial, got, want)
 		}
@@ -150,7 +190,7 @@ func TestRouteMergerRunFedMatchesMerge(t *testing.T) {
 		for r := 0; r < ranks; r++ {
 			lo, hi := r*p/ranks, (r+1)*p/ranks
 			fed.Begin(lo, hi)
-			for _, col := range req.Dsts {
+			for _, col := range dsts {
 				var run []int32
 				for _, d := range col {
 					if int(d) >= lo && int(d) < hi {

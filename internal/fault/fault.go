@@ -52,9 +52,9 @@ const (
 	// Crash fails one processor permanently (masked in degraded mode,
 	// poisoning otherwise).
 	Crash Kind = iota
-	// MemTransient is a transient memory read/write error: the committed
-	// phase is corrupted, detected, rolled back and retried. Fires only
-	// on shared-memory machines.
+	// MemTransient is a transient memory read/write error: the phase
+	// attempt is detected at the barrier, rolled back and retried. Fires
+	// only on shared-memory machines.
 	MemTransient
 	// MsgDrop is a dropped superstep message (transient; rolled back and
 	// retried). Fires only on message-routing machines.
@@ -145,7 +145,7 @@ type Event struct {
 	Kind Kind
 	// Proc is the crash victim (−1 for non-crash faults).
 	Proc int
-	// Addr is the corruption target: memory cell or inbox component (−1
+	// Addr is the fault's target: memory cell or inbox component (−1
 	// when inapplicable).
 	Addr int
 	// Class is the engine-level effect of the fault.
@@ -250,7 +250,7 @@ func (p *Plan) fires(s Spec, ic engine.InjectCtx) bool {
 }
 
 // verdict translates a firing spec into the engine's fault verdict,
-// drawing victims and corruption targets from the plan RNG.
+// drawing victims and fault targets from the plan RNG.
 func (p *Plan) verdict(s Spec, ic engine.InjectCtx) engine.Verdict {
 	switch s.Kind {
 	case Crash:

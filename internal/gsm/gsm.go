@@ -31,7 +31,7 @@ package gsm
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/cost"
 	"repro/internal/engine"
@@ -39,23 +39,28 @@ import (
 
 // Info is the information content of a GSM cell: a sorted set of abstract
 // information atoms (int64 tokens). The zero value is the empty set.
+//
+// Info values are immutable: no operation here writes into an operand,
+// so sets are shared freely between cells, writes and results.
 type Info []int64
 
 // Contains reports whether the atom is in the set.
 func (in Info) Contains(a int64) bool {
-	i := sort.Search(len(in), func(i int) bool { return in[i] >= a })
-	return i < len(in) && in[i] == a
+	_, ok := slices.BinarySearch(in, a)
+	return ok
 }
 
 // Merge returns the union of the two sets (strong queuing write rule).
+// When one side is empty it returns the other operand itself; otherwise
+// it builds a fresh set.
 func (in Info) Merge(other Info) Info {
 	if len(other) == 0 {
 		return in
 	}
 	if len(in) == 0 {
-		return append(Info(nil), other...) //lint:hotpathalloc-ok information-set union returns a fresh set by contract: Info values are immutable and shared between cells
+		return other
 	}
-	out := make(Info, 0, len(in)+len(other)) //lint:hotpathalloc-ok information-set union returns a fresh set by contract: Info values are immutable and shared between cells
+	out := make(Info, 0, len(in)+len(other)) //lint:hotpathalloc-ok information-set union of two non-empty sets; it may return an operand otherwise, since Info values are immutable
 	i, j := 0, 0
 	for i < len(in) && j < len(other) {
 		switch {
@@ -71,9 +76,57 @@ func (in Info) Merge(other Info) Info {
 			j++
 		}
 	}
-	out = append(out, in[i:]...) //lint:hotpathalloc-ok append into the union buffer; capacity was reserved at make
+	out = append(out, in[i:]...)    //lint:hotpathalloc-ok append into the union buffer; capacity was reserved at make
 	out = append(out, other[j:]...) //lint:hotpathalloc-ok append into the union buffer; capacity was reserved at make
 	return out
+}
+
+// Union returns the union of all the sets in one allocation (a k-way
+// merge). When at most one set is non-empty it returns that set itself,
+// as Merge does.
+func Union(sets ...Info) Info {
+	total, only := 0, -1
+	for i, s := range sets {
+		if len(s) == 0 {
+			continue
+		}
+		if total == 0 {
+			only = i
+		} else {
+			only = -1
+		}
+		total += len(s)
+	}
+	switch {
+	case total == 0:
+		return nil
+	case only >= 0:
+		return sets[only]
+	}
+	// pos[i] is the next unmerged atom of sets[i]; small fan-ins keep
+	// the cursors on the stack.
+	var small [8]int
+	pos := small[:]
+	if len(sets) > len(small) {
+		pos = make([]int, len(sets))
+	}
+	out := make(Info, 0, total)
+	for {
+		best := -1
+		var atom int64
+		for i, s := range sets {
+			if pos[i] < len(s) && (best < 0 || s[pos[i]] < atom) {
+				best, atom = i, s[pos[i]]
+			}
+		}
+		if best < 0 {
+			return out
+		}
+		if len(out) == 0 || out[len(out)-1] != atom {
+			out = append(out, atom)
+		}
+		pos[best]++
+	}
 }
 
 // NewInfo builds a normalised (sorted, deduplicated) information set.
@@ -81,15 +134,9 @@ func NewInfo(atoms ...int64) Info {
 	if len(atoms) == 0 {
 		return nil
 	}
-	s := append([]int64(nil), atoms...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	out := s[:1]
-	for _, a := range s[1:] {
-		if a != out[len(out)-1] {
-			out = append(out, a)
-		}
-	}
-	return Info(out)
+	s := slices.Clone(atoms)
+	slices.Sort(s)
+	return Info(slices.Compact(s))
 }
 
 // Machine is a GSM instance: the engine's shared-memory runtime over
@@ -151,7 +198,9 @@ func (m *Machine) Gamma() int64 { return m.Params().Gamma }
 
 // LoadInputs places n input atoms into cells under the γ-per-cell initial
 // distribution: cell i receives atoms for inputs [iγ, (i+1)γ). Atom encoding
-// is inputAtom(index, value). Not charged.
+// is inputAtom(index, value). Not charged. Every cell's atoms share one
+// allocation: atoms ascend with the input index, so each cell's block is
+// already a normalised set.
 func (m *Machine) LoadInputs(values []int64) error {
 	if len(values) != m.N() {
 		return fmt.Errorf("gsm: LoadInputs got %d values, want N=%d", len(values), m.N())
@@ -163,9 +212,13 @@ func (m *Machine) LoadInputs(values []int64) error {
 		return fmt.Errorf("gsm: %d cells needed for n=%d γ=%d, have %d",
 			need, m.N(), g, len(cells))
 	}
+	atoms := make([]int64, len(values))
 	for i, v := range values {
-		c := i / g
-		cells[c] = cells[c].Merge(NewInfo(InputAtom(i, v)))
+		atoms[i] = InputAtom(i, v)
+	}
+	for c := 0; c < need; c++ {
+		lo, hi := c*g, min((c+1)*g, len(atoms))
+		cells[c] = cells[c].Merge(Info(atoms[lo:hi:hi]))
 	}
 	return nil
 }
@@ -186,7 +239,7 @@ func (m *Machine) Peek(addr int) Info {
 		m.RecordErr(fmt.Errorf("gsm: Peek out of range: cell %d of %d", addr, len(cells)))
 		return nil
 	}
-	return cells[addr] //lint:colescape-ok Peek hands out the committed cell's set; Info is immutable by convention (Merge copies on write)
+	return cells[addr] //lint:colescape-ok Peek hands out the committed cell's set; Info values are immutable (no operation writes into a set)
 }
 
 // ErrViolation wraps GSM memory-access-rule violations.

@@ -3,6 +3,7 @@ package gsm
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -144,6 +145,114 @@ func TestInfoMergeProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestUnionMatchesMerge: the k-way Union equals the pairwise Merge fold
+// over the same sets, in any number of sets (nil ones included), and
+// the normalised set of all their atoms.
+func TestUnionMatchesMerge(t *testing.T) {
+	f := func(raw [][]int8) bool {
+		sets := make([]Info, len(raw))
+		var all []int64
+		for i, xs := range raw {
+			atoms := make([]int64, len(xs))
+			for j, v := range xs {
+				atoms[j] = int64(v)
+			}
+			sets[i] = NewInfo(atoms...)
+			all = append(all, atoms...)
+		}
+		var fold Info
+		for _, s := range sets {
+			fold = fold.Merge(s)
+		}
+		u := Union(sets...)
+		return slices.Equal(u, fold) && slices.Equal(u, NewInfo(all...))
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestInfoOperandsNeverMutated: Merge and Union — which may hand back an
+// operand itself — never write into an operand, and neither the sets
+// LoadInputs places nor the cells a phase commits change when later
+// phases merge into the cells that share them.
+func TestInfoOperandsNeverMutated(t *testing.T) {
+	a, b := NewInfo(5, 1, 3), NewInfo(9, 3, 2)
+	ca, cb := slices.Clone(a), slices.Clone(b)
+	for _, r := range []Info{
+		a.Merge(b), b.Merge(a), Info(nil).Merge(a), a.Merge(nil),
+		Union(a, nil, b), Union(nil, b), Union(a, b, a), Union(a),
+	} {
+		_ = append(r, 100) // a caller growing a result must not reach an operand
+	}
+	if !slices.Equal(a, ca) || !slices.Equal(b, cb) {
+		t.Fatalf("operands changed: a = %v (was %v), b = %v (was %v)", a, ca, b, cb)
+	}
+
+	m := mk(t, Config{P: 4, Alpha: 2, Beta: 2, Gamma: 2, N: 8, Cells: 16})
+	if err := m.LoadInputs([]int64{1, 0, 1, 1, 0, 0, 1, 0}); err != nil {
+		t.Fatal(err)
+	}
+	var held, want []Info
+	hold := func(lo, hi int) {
+		for c := lo; c < hi; c++ {
+			held = append(held, m.Peek(c))
+			want = append(want, slices.Clone(m.Peek(c)))
+		}
+	}
+	hold(0, 4)
+	// Phase 1: cell 4+i takes loaded cell i as it is (an empty cell
+	// shares the written set), and cell 8 the union of all four.
+	m.Phase(func(c *Ctx) {
+		i := c.Proc()
+		in := c.Read(i)
+		c.Write(4+i, in)
+		c.Write(8, in)
+	})
+	hold(4, 9)
+	// Phase 2: merge more atoms into the shared cells 4..7 and into 8.
+	m.Phase(func(c *Ctx) {
+		i := c.Proc()
+		c.Write(4+i, NewInfo(int64(1000+i)))
+		c.Write(8, NewInfo(int64(2000+i)))
+	})
+	if err := m.Err(); err != nil {
+		t.Fatal(err)
+	}
+	for k := range held {
+		if !slices.Equal(held[k], want[k]) {
+			t.Errorf("set %d changed after later merges: %v, was %v", k, held[k], want[k])
+		}
+	}
+	for i := 0; i < 4; i++ {
+		if got := m.Peek(4 + i); len(got) != len(want[i])+1 || !got.Contains(int64(1000+i)) {
+			t.Errorf("cell %d = %v, want loaded cell %d's atoms plus %d", 4+i, got, i, 1000+i)
+		}
+	}
+}
+
+// TestLoadInputsOneAllocation: LoadInputs builds every cell's atoms in
+// one allocation, whatever n and γ.
+func TestLoadInputsOneAllocation(t *testing.T) {
+	for _, gamma := range []int64{1, 3} {
+		const n = 512
+		m := mk(t, Config{P: 8, Alpha: 1, Beta: 1, Gamma: gamma, N: n, Cells: n})
+		vals := make([]int64, n)
+		for i := range vals {
+			vals[i] = int64(i % 2)
+		}
+		allocs := testing.AllocsPerRun(10, func() {
+			clear(m.Data())
+			if err := m.LoadInputs(vals); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 1 {
+			t.Errorf("γ=%d: LoadInputs allocates %.0f objects, want 1", gamma, allocs)
+		}
 	}
 }
 

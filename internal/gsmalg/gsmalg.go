@@ -43,13 +43,9 @@ func GatherTree(m *gsm.Machine, r, fanin int) (int, error) {
 			j := c.Proc()
 			for ; j < nw; j += m.P() {
 				// A node's children are contiguous: one block read per
-				// node, then the free local merge.
+				// node, then the free local merge in one union.
 				cnt := min(fanin, widthL-j*fanin)
-				var acc gsm.Info
-				for _, in := range c.ReadBlock(curL+j*fanin, cnt) {
-					acc = acc.Merge(in)
-				}
-				c.Write(nextL+j, acc)
+				c.Write(nextL+j, gsm.Union(c.ReadBlock(curL+j*fanin, cnt)...))
 			}
 		})
 		cur, width, next = next, nw, next+nw
