@@ -1,12 +1,13 @@
 // Command reprolint is the project's static-analysis tool. It enforces
 // the determinism/engine contracts (maporder, globalrand, wallclock,
 // commitpurity), the interprocedural fault/checkpoint/sentinel contracts
-// of PR 5 (sentinelwrap, snapshotdeep, costbalance, injectoronce,
+// (sentinelwrap, snapshotdeep, costbalance, injectoronce,
 // observerpurity) built on per-function fact summaries, the CFG-based
-// dataflow contracts of PR 8 (hotpathalloc, colescape), and
-// the concurrency contracts of PR 10 (goleak, lockorder, atomicmix,
-// framestate) covering goroutine lifecycle, lock discipline, atomic
-// access discipline and the proc backend's wire-protocol frame state.
+// dataflow contracts (hotpathalloc, colescape), and the concurrency
+// contracts (goleak, lockorder, atomicmix) covering goroutine lifecycle,
+// lock discipline and atomic access discipline. The proc backend's wire
+// frames need no analyzer: each frame's fixed fields are one struct whose
+// single field walk both encodes and decodes it.
 //
 // It runs two ways. As a standalone driver over package patterns:
 //

@@ -60,8 +60,8 @@ var Analyzer = &analysis.Analyzer{
 var allowedWriters = map[string]map[string]bool{
 	"Core": set("Init", "RunPhase", "RecordErr", "AddObserver", "observePhaseStart",
 		"InjectFaults", "consultInjector", "noteCommitted", "chargeRecovery",
-		"ckCore", "rewindCore", "retriesExhausted"),
-	"Mem":    set("InitMem", "Grow", "Phase", "Checkpoint", "Rollback"),
+		"checkpoint", "failAttempt", "transportFault", "retriesExhausted"),
+	"Mem":    set("InitMem", "Grow", "Phase"),
 	"memBuf": set("ensure", "commit", "finish"),
 	"memArena": set("Phase", "begin", "truncate", "commit",
 		"Read", "Write", "ReadBlock", "ReadBatch", "WriteBlock", "WriteFill", "WriteBatch", "Submit"),

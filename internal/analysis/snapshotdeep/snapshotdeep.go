@@ -1,6 +1,6 @@
 // Package snapshotdeep guards the checkpoint/rollback deep-copy
-// contract: a type implementing engine.Snapshotter (or the engines' own
-// Checkpoint/Rollback pair) must copy every map/slice/pointer it saves,
+// contract: a type implementing engine.Snapshotter (or a
+// checkpoint/rollback pair, like the engine Core's) must copy every map/slice/pointer it saves,
 // because the live state keeps mutating between the snapshot and a
 // rollback. A shallow alias — `m.ck = m.mem` instead of
 // `m.ck = append(m.ck[:0], m.mem...)` — produces a checkpoint that
@@ -11,7 +11,8 @@
 // (a persistent field assigned an existing map/slice/pointer value
 // rather than a fresh copy) are summarized as facts; findings are
 // reported only on the snapshot paths — functions reachable in the call
-// graph from a Snapshot/Restore/Checkpoint/Rollback method — including
+// graph from a Snapshot/Restore or checkpoint/rollback method (either
+// case) — including
 // cross-package callees via the facts files. Snapshotter is matched
 // structurally (a Snapshot()/Restore() niladic method pair), so the
 // check needs no import of the engine package and fixture tests
@@ -42,9 +43,11 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // rootNames are the method names that start a snapshot path: the
-// structural Snapshotter pair plus the engines' checkpoint machinery.
+// structural Snapshotter pair plus checkpoint machinery, exported or not
+// (the engine Core's pair is unexported).
 var rootNames = map[string]bool{
 	"Snapshot": true, "Restore": true, "Checkpoint": true, "Rollback": true,
+	"checkpoint": true, "rollback": true,
 }
 
 // aliasWrite is one shallow-copy assignment.
@@ -103,8 +106,9 @@ func run(pass *analysis.Pass) error {
 }
 
 // snapshotRoots returns the symbols of this package's snapshot-path
-// entry methods: Checkpoint/Rollback anywhere, and Snapshot/Restore on
-// types that declare both (the structural Snapshotter shape).
+// entry methods: checkpoint/rollback (either case) anywhere, and
+// Snapshot/Restore on types that declare both (the structural
+// Snapshotter shape).
 func snapshotRoots(g *interproc.Graph) []string {
 	pairs := make(map[string]int)
 	for _, sym := range g.Order {
@@ -129,7 +133,7 @@ func snapshotRoots(g *interproc.Graph) []string {
 		if info.Decl.Recv == nil || !rootNames[name] {
 			continue
 		}
-		if name == "Checkpoint" || name == "Rollback" {
+		if name != "Snapshot" && name != "Restore" {
 			roots = append(roots, sym)
 			continue
 		}

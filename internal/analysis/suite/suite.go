@@ -10,7 +10,6 @@ import (
 	"repro/internal/analysis/colescape"
 	"repro/internal/analysis/commitpurity"
 	"repro/internal/analysis/costbalance"
-	"repro/internal/analysis/framestate"
 	"repro/internal/analysis/globalrand"
 	"repro/internal/analysis/goleak"
 	"repro/internal/analysis/hotpathalloc"
@@ -24,10 +23,9 @@ import (
 )
 
 // Analyzers returns the full reprolint suite: the per-file determinism
-// checks of PR 3 first, then the interprocedural contract analyzers,
-// then the CFG-based dataflow analyzers of PR 8, then the concurrency
-// analyzers of PR 10 (goroutine lifecycle, lock discipline, atomic
-// access discipline, wire-protocol frame state).
+// checks first, then the interprocedural contract analyzers, then the
+// CFG-based dataflow analyzers, then the three concurrency analyzers
+// (goroutine lifecycle, lock discipline, atomic access discipline).
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		maporder.Analyzer,
@@ -44,6 +42,5 @@ func Analyzers() []*analysis.Analyzer {
 		goleak.Analyzer,
 		lockorder.Analyzer,
 		atomicmix.Analyzer,
-		framestate.Analyzer,
 	}
 }

@@ -229,18 +229,15 @@ func (c *Coordinator) acceptLoop() {
 			conn.SetReadDeadline(time.Now().Add(c.opt.HeartbeatTimeout)) //lint:wallclock-ok real transport handshake deadline, not model time
 			payload, _, err := readFrame(conn, nil)
 			conn.SetReadDeadline(time.Time{})
-			if err != nil || len(payload) < 5 || payload[0] != fHello {
-				conn.Close()
-				return
-			}
-			d := dec{b: payload, off: 1}
-			rank := int(d.u32())
-			if d.err != nil || rank < 0 || rank >= len(c.hello) {
+			var h rankHdr
+			d, t := newDec(payload)
+			h.fields(&d)
+			if err != nil || t != fHello || d.err != nil || int(h.rank) >= len(c.hello) {
 				conn.Close()
 				return
 			}
 			select {
-			case c.hello[rank] <- conn:
+			case c.hello[h.rank] <- conn:
 			default:
 				conn.Close()
 			}
@@ -458,29 +455,38 @@ func (c *Coordinator) liveWorker(rank int) (*workerProc, error) {
 	return w, nil
 }
 
-// await reads rank's response of the wanted type for (phase, attempt),
-// discarding stale frames (duplicate echoes of earlier attempts), within
-// the heartbeat deadline. On deadline or connection loss it kills and
-// revives the rank and returns the resulting transport error.
-func (c *Coordinator) await(w *workerProc, want byte, phase, attempt int) ([]byte, error) {
+// await reads w's response of the wanted type to the merge e into res,
+// discarding stale frames (another type, or an echo of a duplicated or
+// aborted attempt), within the heartbeat deadline. It is the one place
+// a response is decoded. On deadline, connection loss or a response cut
+// short it kills and revives the rank and returns the resulting
+// transport error.
+func (c *Coordinator) await(w *workerProc, want byte, e echo, res interface {
+	header
+	echoed() echo
+}) error {
 	timer := time.NewTimer(c.opt.HeartbeatTimeout)
 	defer timer.Stop()
 	for {
 		select {
 		case p := <-w.frames:
-			if len(p) < 9 || p[0] != want {
-				continue // stale frame of another kind
+			d, t := newDec(p)
+			if t != want {
+				continue // a frame of another kind
 			}
-			d := dec{b: p, off: 1}
-			if int(d.u32()) != phase || int(d.u32()) != attempt {
-				continue // stale response from a duplicated or aborted attempt
+			// Attempts count from 1, so an echo cut short never matches.
+			if res.fields(&d); res.echoed() != e {
+				continue // an answer to a duplicated or aborted attempt
 			}
-			return p, nil
+			if d.err != nil {
+				return c.reviveRank(w.rank, d.err)
+			}
+			return nil
 		case <-w.dead:
-			return nil, c.reviveRank(w.rank, fmt.Errorf("connection lost awaiting response"))
+			return c.reviveRank(w.rank, fmt.Errorf("connection lost awaiting response"))
 		case <-timer.C:
 			stale := time.Since(time.Unix(0, w.lastBeat.Load())) //lint:wallclock-ok real transport liveness measurement, not model time
-			return nil, c.reviveRank(w.rank, fmt.Errorf(
+			return c.reviveRank(w.rank, fmt.Errorf(
 				"response deadline %v exceeded (last heartbeat %v ago)",
 				c.opt.HeartbeatTimeout, stale.Round(time.Millisecond)))
 		}
@@ -547,22 +553,15 @@ func (c *Coordinator) MergeMem(req engine.MemMergeReq) (engine.MergeStats, error
 	if err := c.ship(); err != nil {
 		return st, err
 	}
-	for rank, w := range c.live {
-		p, err := c.await(w, fMemRes, req.Phase, req.Attempt)
-		if err != nil {
+	var res memResHdr
+	for _, w := range c.live {
+		if err := c.await(w, fMemRes, echoOf(req.Phase, req.Attempt), &res); err != nil {
 			return st, err
 		}
-		d := dec{b: p, off: 9} // past type, phase, attempt
-		kr := d.i64()
-		kw := d.i64()
-		viol := d.i32()
-		if d.err != nil {
-			return st, c.reviveRank(rank, d.err)
-		}
-		st.KRead = max(st.KRead, kr)
-		st.KWrite = max(st.KWrite, kw)
-		if viol >= 0 && (st.Viol < 0 || viol < st.Viol) {
-			st.Viol = viol
+		st.KRead = max(st.KRead, res.kread)
+		st.KWrite = max(st.KWrite, res.kwrite)
+		if res.viol >= 0 && (st.Viol < 0 || res.viol < st.Viol) {
+			st.Viol = res.viol
 		}
 	}
 	return st, nil
@@ -578,17 +577,12 @@ func (c *Coordinator) MergeRoute(req engine.RouteMergeReq) (engine.RouteStats, e
 	if err := c.ship(); err != nil {
 		return st, err
 	}
-	for rank, w := range c.live {
-		p, err := c.await(w, fRouteRes, req.Phase, req.Attempt)
-		if err != nil {
+	var res routeResHdr
+	for _, w := range c.live {
+		if err := c.await(w, fRouteRes, echoOf(req.Phase, req.Attempt), &res); err != nil {
 			return st, err
 		}
-		d := dec{b: p, off: 9}
-		hr := d.i64()
-		if d.err != nil {
-			return st, c.reviveRank(rank, d.err)
-		}
-		st.HRecv = max(st.HRecv, hr)
+		st.HRecv = max(st.HRecv, res.hrecv)
 	}
 	return st, nil
 }
@@ -641,7 +635,7 @@ func (c *Coordinator) Close() error {
 	workers := append([]*workerProc(nil), c.workers...)
 	c.mu.Unlock()
 	var e enc
-	e.reset(fShutdown)
+	e.start(fShutdown, nil)
 	frame := e.finish()
 	// Signal every worker before reaping any, so they exit in parallel.
 	for _, w := range workers {

@@ -147,11 +147,11 @@ func TestServeRejectsMalformedRuns(t *testing.T) {
 	}
 	for _, tc := range badMemRuns() {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := w.serveMem(payloadOf(fuzzFrame(fMemReq, tc.tail)))
+			_, err := w.serve(payloadOf(fuzzFrame(fMemReq, tc.tail)))
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("err = %v, want one containing %q", err, tc.want)
 			}
-			res, err := w.serveMem(payloadOf(frames.out[0]))
+			res, err := w.serve(payloadOf(frames.out[0]))
 			if err != nil {
 				t.Fatalf("well-formed request after the rejection: %v", err)
 			}
@@ -162,11 +162,11 @@ func TestServeRejectsMalformedRuns(t *testing.T) {
 	}
 	// The route decoder shares the run checks.
 	var e enc
-	e.reset(fRouteReq)
-	for _, v := range []uint32{0, 1, 4, 0, 4, 2, 1, 2, 1, 0} { // sender 2 of 2
-		e.u32(v)
+	e.start(fRouteReq, &routeReqHdr{echo{0, 1}, 4, 0, 4, 2})
+	for _, v := range []uint32{1, 2, 1, 0} { // sender 2 of 2
+		e.word(v)
 	}
-	_, err := w.serveRoute(payloadOf(e.finish()))
+	_, err := w.serve(payloadOf(e.finish()))
 	if err == nil || !strings.Contains(err.Error(), "processor 2, frame has 2 processors") {
 		t.Fatalf("route sender past nsenders: err = %v", err)
 	}
@@ -175,14 +175,13 @@ func TestServeRejectsMalformedRuns(t *testing.T) {
 // decodeMemRes reads a framed fMemRes back into merge statistics.
 func decodeMemRes(t *testing.T, frame []byte) engine.MergeStats {
 	t.Helper()
-	d := dec{b: payloadOf(frame), off: 1}
-	d.u32()
-	d.u32()
-	st := engine.MergeStats{KRead: d.i64(), KWrite: d.i64(), Viol: d.i32()}
+	var res memResHdr
+	d, _ := newDec(payloadOf(frame))
+	res.fields(&d)
 	if d.err != nil {
 		t.Fatalf("decode response: %v", d.err)
 	}
-	return st
+	return engine.MergeStats{KRead: res.kread, KWrite: res.kwrite, Viol: res.viol}
 }
 
 // TestRankOfMatchesRangeFor pins the encoder's one-pass rank lookup to
@@ -260,12 +259,14 @@ func TestSparseFramesMatchReference(t *testing.T) {
 					if !bytes.Equal(frames.out[r], one.out[r]) {
 						t.Fatalf("%s trial %d rank %d: frame from %d chunks differs from the one-chunk frame", name, trial, r, chunks)
 					}
-					d := dec{b: payloadOf(frames.out[r]), off: 1 + 4*3}
+					var h memReqHdr
+					d, _ := newDec(payloadOf(frames.out[r]))
+					h.fields(&d)
 					lo, hi := rangeFor(r, cells, ranks)
-					if int(d.u32()) != lo || int(d.u32()) != hi {
+					if int(h.lo) != lo || int(h.hi) != hi {
 						t.Fatalf("%s: rank %d frame range differs from rangeFor [%d, %d)", name, r, lo, hi)
 					}
-					res, err := ws[r].serveMem(payloadOf(frames.out[r]))
+					res, err := ws[r].serve(payloadOf(frames.out[r]))
 					if err != nil {
 						t.Fatalf("%s trial %d rank %d: %v", name, trial, r, err)
 					}
@@ -287,14 +288,14 @@ func TestSparseFramesMatchReference(t *testing.T) {
 				frames.route(routeReq(cells, dsts, 1+rng.Intn(4)))
 				var got engine.RouteStats
 				for r := range ws {
-					res, err := ws[r].serveRoute(payloadOf(frames.out[r]))
+					res, err := ws[r].serve(payloadOf(frames.out[r]))
 					if err != nil {
 						t.Fatalf("%s route trial %d rank %d: %v", name, trial, r, err)
 					}
-					d := dec{b: payloadOf(res), off: 1}
-					d.u32()
-					d.u32()
-					got.HRecv = max(got.HRecv, d.i64())
+					var h routeResHdr
+					d, _ := newDec(payloadOf(res))
+					h.fields(&d)
+					got.HRecv = max(got.HRecv, h.hrecv)
 				}
 				if want := denseRoute(cells, dsts); got != want {
 					t.Fatalf("%s route trial %d: got %+v, want %+v", name, trial, got, want)

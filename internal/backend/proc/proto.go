@@ -27,8 +27,9 @@ import (
 )
 
 // Frame format: a 4-byte little-endian payload length, then the payload;
-// payload byte 0 is the frame type. Integers inside payloads are
-// little-endian (u32/i32/i64).
+// payload byte 0 is the frame type, and the frame's fixed fields follow
+// it in the order its header struct's fields method walks them.
+// Integers inside payloads are little-endian (u32/i32/i64).
 //
 // Request frames are sparse: after their fixed header they carry run
 // sections. A section is a u32 run count, then one run per processor
@@ -37,27 +38,24 @@ import (
 // entries. A frame's size is O(entries in the rank's range), never
 // O(processors).
 const (
-	// fHello (worker → coordinator), payload: rank u32. First frame on a
-	// fresh connection.
+	// fHello (worker → coordinator): rankHdr. First frame on a fresh
+	// connection.
 	fHello byte = 1
-	// fMemReq (coordinator → worker), payload: phase u32, attempt u32,
-	// cells u32, lo u32, hi u32, nprocs u32, then a read run section and
-	// a write run section (see above). Runs hold only the entries whose
-	// cell lies in the worker's [lo, hi) range.
+	// fMemReq (coordinator → worker): memReqHdr, then a read run section
+	// and a write run section (see above). Runs hold only the entries
+	// whose cell lies in the worker's [lo, hi) range.
 	fMemReq byte = 2
-	// fMemRes (worker → coordinator), payload: phase u32, attempt u32,
-	// kread i64, kwrite i64, viol i32 (−1 = clean).
+	// fMemRes (worker → coordinator): memResHdr.
 	fMemRes byte = 3
-	// fRouteReq (coordinator → worker), payload: phase u32, attempt u32,
-	// p u32, lo u32, hi u32, nsenders u32, then one run section of
-	// destination entries in the worker's [lo, hi) component range.
+	// fRouteReq (coordinator → worker): routeReqHdr, then one run
+	// section of destination entries in the worker's [lo, hi) component
+	// range.
 	fRouteReq byte = 4
-	// fRouteRes (worker → coordinator), payload: phase u32, attempt u32,
-	// hrecv i64.
+	// fRouteRes (worker → coordinator): routeResHdr.
 	fRouteRes byte = 5
-	// fBeat (worker → coordinator), payload: rank u32. Liveness heartbeat.
+	// fBeat (worker → coordinator): rankHdr. Liveness heartbeat.
 	fBeat byte = 6
-	// fShutdown (coordinator → worker), empty payload: clean exit request.
+	// fShutdown (coordinator → worker), no fields: clean exit request.
 	fShutdown byte = 7
 )
 
@@ -65,23 +63,123 @@ const (
 // cannot drive an arbitrary allocation.
 const maxFrame = 1 << 28
 
-// enc builds one outgoing frame in a reusable buffer. reset starts the
-// frame, the appenders add payload, finish backpatches the length prefix
-// and returns the wire bytes (valid until the next reset).
+// fieldCodec walks a frame's fixed fields in wire order: *enc appends
+// each field's value, *dec reads each field back into place. A frame's
+// layout is therefore the one list in its header's fields method, and
+// its encoder and decoder cannot disagree on it.
+type fieldCodec interface {
+	u32(v *uint32)
+	i32(v *int32)
+	i64(v *int64)
+}
+
+// header is a frame's fixed fields.
+type header interface {
+	fields(f fieldCodec)
+}
+
+// rankHdr is the payload of fHello and fBeat: the sending worker's rank.
+type rankHdr struct{ rank uint32 }
+
+func (h *rankHdr) fields(f fieldCodec) { f.u32(&h.rank) }
+
+// echo opens every request and response: the (phase, attempt) being
+// merged. A worker copies its request's echo into its response, and the
+// coordinator discards any response whose echo is not the merge in
+// flight — a duplicated request's second answer, or one left over from
+// an aborted attempt.
+type echo struct{ phase, attempt uint32 }
+
+func echoOf(phase, attempt int) echo { return echo{uint32(phase), uint32(attempt)} }
+
+// echoed returns the echo a response embeds.
+func (h *echo) echoed() echo { return *h }
+
+func (h *echo) fields(f fieldCodec) {
+	f.u32(&h.phase)
+	f.u32(&h.attempt)
+}
+
+// memReqHdr is fMemReq's fixed header: the rank owns cells [lo, hi) of
+// cells, and run processor ids are below nprocs.
+type memReqHdr struct {
+	echo
+	cells, lo, hi, nprocs uint32
+}
+
+func (h *memReqHdr) fields(f fieldCodec) {
+	h.echo.fields(f)
+	f.u32(&h.cells)
+	f.u32(&h.lo)
+	f.u32(&h.hi)
+	f.u32(&h.nprocs)
+}
+
+// routeReqHdr is fRouteReq's fixed header: the rank owns components
+// [lo, hi) of p, and run sender ids are below nsenders.
+type routeReqHdr struct {
+	echo
+	p, lo, hi, nsenders uint32
+}
+
+func (h *routeReqHdr) fields(f fieldCodec) {
+	h.echo.fields(f)
+	f.u32(&h.p)
+	f.u32(&h.lo)
+	f.u32(&h.hi)
+	f.u32(&h.nsenders)
+}
+
+// memResHdr is fMemRes: one rank's engine.MergeStats (viol −1 = clean).
+type memResHdr struct {
+	echo
+	kread, kwrite int64
+	viol          int32
+}
+
+func (h *memResHdr) fields(f fieldCodec) {
+	h.echo.fields(f)
+	f.i64(&h.kread)
+	f.i64(&h.kwrite)
+	f.i32(&h.viol)
+}
+
+// routeResHdr is fRouteRes: one rank's engine.RouteStats.
+type routeResHdr struct {
+	echo
+	hrecv int64
+}
+
+func (h *routeResHdr) fields(f fieldCodec) {
+	h.echo.fields(f)
+	f.i64(&h.hrecv)
+}
+
+// enc builds one outgoing frame in a reusable buffer. start opens a
+// frame with its fixed fields, the run-section appenders add the rest,
+// finish backpatches the length prefix and returns the wire bytes (valid
+// until the next start).
 type enc struct {
 	b []byte
 }
 
-func (e *enc) reset(t byte) {
+// start opens a frame of type t whose fixed fields are h's (nil: none).
+func (e *enc) start(t byte, h header) {
 	e.b = append(e.b[:0], 0, 0, 0, 0, t)
+	if h != nil {
+		h.fields(e)
+	}
 }
 
-func (e *enc) u32(v uint32) {
-	e.b = binary.LittleEndian.AppendUint32(e.b, v)
+func (e *enc) u32(v *uint32) { e.word(*v) }
+func (e *enc) i32(v *int32)  { e.word(uint32(*v)) }
+func (e *enc) i64(v *int64) {
+	e.b = binary.LittleEndian.AppendUint64(e.b, uint64(*v))
 }
-func (e *enc) i32(v int32) { e.u32(uint32(v)) }
-func (e *enc) i64(v int64) {
-	e.b = binary.LittleEndian.AppendUint64(e.b, uint64(v))
+
+// word appends one u32: the unit of the run sections.
+func (e *enc) word(v uint32) {
+	e.b = binary.LittleEndian.AppendUint32(e.b, v)
 }
 
 // mark reserves a u32 slot for count backpatching and returns its offset.
@@ -102,13 +200,22 @@ func (e *enc) finish() []byte {
 	return e.b
 }
 
-// dec walks one received payload; decode errors latch in err and turn
-// every later accessor into a zero-value no-op, so call sites check err
-// once at the end.
+// dec walks the fields of one received payload; decode errors latch in
+// err and turn every later read into a zero-value no-op, so call sites
+// check err once at the end.
 type dec struct {
 	b   []byte
 	off int
 	err error
+}
+
+// newDec consumes payload's type byte and returns it with a decoder over
+// the fields that follow.
+func newDec(payload []byte) (dec, byte) {
+	if len(payload) == 0 {
+		return dec{err: fmt.Errorf("proc: empty frame")}, 0
+	}
+	return dec{b: payload[1:]}, payload[0]
 }
 
 func (d *dec) fail(what string) {
@@ -117,7 +224,21 @@ func (d *dec) fail(what string) {
 	}
 }
 
-func (d *dec) u32() uint32 {
+func (d *dec) u32(v *uint32) { *v = d.word() }
+func (d *dec) i32(v *int32)  { *v = int32(d.word()) }
+
+func (d *dec) i64(v *int64) {
+	if d.err != nil || d.off+8 > len(d.b) {
+		d.fail("i64")
+		*v = 0
+		return
+	}
+	*v = int64(binary.LittleEndian.Uint64(d.b[d.off:]))
+	d.off += 8
+}
+
+// word reads one u32: the unit of the run sections.
+func (d *dec) word() uint32 {
 	if d.err != nil || d.off+4 > len(d.b) {
 		d.fail("u32")
 		return 0
@@ -127,21 +248,9 @@ func (d *dec) u32() uint32 {
 	return v
 }
 
-func (d *dec) i32() int32 { return int32(d.u32()) }
-
-func (d *dec) i64() int64 {
-	if d.err != nil || d.off+8 > len(d.b) {
-		d.fail("i64")
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.b[d.off:])
-	d.off += 8
-	return int64(v)
-}
-
 // col decodes a u32-counted i32 column into dst (reused, truncated).
 func (d *dec) col(dst []int32) []int32 {
-	n := int(d.u32())
+	n := int(d.word())
 	if d.err != nil || n < 0 || d.off+4*n > len(d.b) {
 		d.fail(fmt.Sprintf("column of %d entries", n))
 		return dst[:0]
@@ -173,7 +282,9 @@ func rankOf(a, cells, ranks int) int {
 
 // reqFrames builds every rank's request frame for one merge in a single
 // pass over the request columns. The per-rank buffers persist across
-// merges, so steady-state encoding allocates nothing.
+// merges, so steady-state encoding allocates only each rank's small
+// fixed-field header (the field walk's interface calls move it to the
+// heap).
 type reqFrames struct {
 	encs []enc
 	open []openRun
@@ -203,14 +314,8 @@ func (f *reqFrames) mem(req engine.MemMergeReq) {
 	ranks := len(f.encs)
 	for r := range f.encs {
 		lo, hi := rangeFor(r, req.Cells, ranks)
-		e := &f.encs[r]
-		e.reset(fMemReq)
-		e.u32(uint32(req.Phase))
-		e.u32(uint32(req.Attempt))
-		e.u32(uint32(req.Cells))
-		e.u32(uint32(lo))
-		e.u32(uint32(hi))
-		e.u32(uint32(req.P))
+		f.encs[r].start(fMemReq, &memReqHdr{echoOf(req.Phase, req.Attempt),
+			uint32(req.Cells), uint32(lo), uint32(hi), uint32(req.P)})
 	}
 	f.section(req.Reads, req.ReadProcs, req.Cells)
 	f.section(req.Writes, req.WriteProcs, req.Cells)
@@ -222,14 +327,8 @@ func (f *reqFrames) route(req engine.RouteMergeReq) {
 	ranks := len(f.encs)
 	for r := range f.encs {
 		lo, hi := rangeFor(r, req.P, ranks)
-		e := &f.encs[r]
-		e.reset(fRouteReq)
-		e.u32(uint32(req.Phase))
-		e.u32(uint32(req.Attempt))
-		e.u32(uint32(req.P))
-		e.u32(uint32(lo))
-		e.u32(uint32(hi))
-		e.u32(uint32(req.P))
+		f.encs[r].start(fRouteReq, &routeReqHdr{echoOf(req.Phase, req.Attempt),
+			uint32(req.P), uint32(lo), uint32(hi), uint32(req.P)})
 	}
 	f.section(req.Dsts, req.Srcs, req.P)
 	f.finish()
@@ -263,10 +362,10 @@ func (f *reqFrames) section(cols, procs [][]int32, cells int) {
 				}
 				o.proc, o.n = i, 0
 				o.runs++
-				e.u32(uint32(i))
+				e.word(uint32(i))
 				o.cnt = e.mark()
 			}
-			e.i32(v)
+			e.word(uint32(v))
 			o.n++
 		}
 	}

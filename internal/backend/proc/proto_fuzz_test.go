@@ -6,11 +6,19 @@ import (
 )
 
 // fuzzFrame builds one wire frame from a type byte and raw payload tail,
-// bypassing enc so seeds can express torn and malformed shapes too.
+// bypassing the header structs so seeds can express torn and malformed
+// shapes too.
 func fuzzFrame(t byte, tail []byte) []byte {
 	var e enc
-	e.reset(t)
+	e.start(t, nil)
 	e.b = append(e.b, tail...)
+	return append([]byte(nil), e.finish()...)
+}
+
+// frameOf encodes one frame of fixed fields h.
+func frameOf(t byte, h header) []byte {
+	var e enc
+	e.start(t, h)
 	return append([]byte(nil), e.finish()...)
 }
 
@@ -21,35 +29,19 @@ func fuzzFrame(t byte, tail []byte) []byte {
 //     (0, maxFrame];
 //   - dec never panics, never reads past the payload, and latches its
 //     first error;
-//   - a payload that decodes fully under its frame type's schema
-//     re-encodes through enc to the identical wire bytes (codec
-//     agreement, the runtime twin of the framestate analyzer).
+//   - a payload that decodes fully into its frame type's header struct
+//     (and run sections) re-encodes from them to the identical wire
+//     bytes.
 //
 // Seeds cover torn tails, oversized and zero length prefixes, and
 // duplicate headers (a payload that itself looks like a framed stream).
 func FuzzFrameCodec(f *testing.F) {
-	var e enc
-
 	// One well-formed frame of each type.
-	e.reset(fHello)
-	e.u32(3)
-	hello := append([]byte(nil), e.finish()...)
+	hello := frameOf(fHello, &rankHdr{3})
 	f.Add(hello)
-
-	e.reset(fMemRes)
-	e.u32(7)
-	e.u32(1)
-	e.i64(42)
-	e.i64(-9)
-	e.i32(-1)
-	memres := append([]byte(nil), e.finish()...)
+	memres := frameOf(fMemRes, &memResHdr{echo{7, 1}, 42, -9, -1})
 	f.Add(memres)
-
-	e.reset(fRouteRes)
-	e.u32(2)
-	e.u32(0)
-	e.i64(1 << 40)
-	f.Add(append([]byte(nil), e.finish()...))
+	f.Add(frameOf(fRouteRes, &routeResHdr{echo{2, 0}, 1 << 40}))
 
 	// Request frames as the coordinator builds them, one per rank of 2:
 	// a mem request over 5 processors and a route request over 8
@@ -72,12 +64,8 @@ func FuzzFrameCodec(f *testing.F) {
 		f.Add(append([]byte(nil), fr...))
 	}
 
-	e.reset(fBeat)
-	e.u32(0)
-	f.Add(append([]byte(nil), e.finish()...))
-
-	e.reset(fShutdown)
-	f.Add(append([]byte(nil), e.finish()...))
+	f.Add(frameOf(fBeat, &rankHdr{0}))
+	f.Add(frameOf(fShutdown, nil))
 
 	// Torn tail: a valid frame with its last bytes ripped off.
 	f.Add(memres[:len(memres)-3])
@@ -111,65 +99,43 @@ func FuzzFrameCodec(f *testing.F) {
 	})
 }
 
-// checkPayload decodes one payload under its frame type's schema and
-// enforces the dec-bounds and round-trip invariants. Request payloads
-// also go through the worker's decoder, which must answer or fail with
-// an error, never panic.
+// checkPayload decodes one payload into its frame type's header struct
+// and run sections and enforces the dec-bounds and round-trip
+// invariants. Request payloads also go through the worker's decoder,
+// which must answer or fail with an error, never panic.
 func checkPayload(t *testing.T, payload []byte) {
 	t.Helper()
-	var e enc
-	d := dec{b: payload, off: 1}
+	var h header
+	sections := 0
 	switch payload[0] {
 	case fHello, fBeat:
-		rank := d.u32()
-		e.reset(payload[0])
-		e.u32(rank)
+		h = &rankHdr{}
 	case fMemRes:
-		phase, attempt := d.u32(), d.u32()
-		kread, kwrite := d.i64(), d.i64()
-		viol := d.i32()
-		e.reset(fMemRes)
-		e.u32(phase)
-		e.u32(attempt)
-		e.i64(kread)
-		e.i64(kwrite)
-		e.i32(viol)
+		h = &memResHdr{}
 	case fRouteRes:
-		phase, attempt := d.u32(), d.u32()
-		hrecv := d.i64()
-		e.reset(fRouteRes)
-		e.u32(phase)
-		e.u32(attempt)
-		e.i64(hrecv)
+		h = &routeResHdr{}
 	case fMemReq:
-		phase, attempt, cells := d.u32(), d.u32(), d.u32()
-		lo, hi, nprocs := d.u32(), d.u32(), d.u32()
-		e.reset(fMemReq)
-		e.u32(phase)
-		e.u32(attempt)
-		e.u32(cells)
-		e.u32(lo)
-		e.u32(hi)
-		e.u32(nprocs)
-		reencodeRuns(&d, &e)
-		reencodeRuns(&d, &e)
-		serveBounded(payload, lo, hi)
+		h, sections = &memReqHdr{}, 2
 	case fRouteReq:
-		phase, attempt, p := d.u32(), d.u32(), d.u32()
-		lo, hi, nsenders := d.u32(), d.u32(), d.u32()
-		e.reset(fRouteReq)
-		e.u32(phase)
-		e.u32(attempt)
-		e.u32(p)
-		e.u32(lo)
-		e.u32(hi)
-		e.u32(nsenders)
-		reencodeRuns(&d, &e)
-		serveBounded(payload, lo, hi)
+		h, sections = &routeReqHdr{}, 1
 	case fShutdown:
-		e.reset(fShutdown)
 	default:
 		return // unknown type: the stream layer does not police types
+	}
+	d, typ := newDec(payload)
+	if h != nil {
+		h.fields(&d)
+	}
+	var e enc
+	e.start(typ, h)
+	for i := 0; i < sections; i++ {
+		reencodeRuns(&d, &e)
+	}
+	switch r := h.(type) {
+	case *memReqHdr:
+		serveBounded(payload, r.lo, r.hi)
+	case *routeReqHdr:
+		serveBounded(payload, r.lo, r.hi)
 	}
 	if d.off > len(d.b) {
 		t.Fatalf("dec read past payload: off %d of %d", d.off, len(d.b))
@@ -186,15 +152,15 @@ func checkPayload(t *testing.T, payload []byte) {
 // stopping at the first decode error.
 func reencodeRuns(d *dec, e *enc) {
 	var col []int32
-	n := d.u32()
-	e.u32(n)
+	n := d.word()
+	e.word(n)
 	for i := uint32(0); i < n && d.err == nil; i++ {
-		proc := d.u32()
+		proc := d.word()
 		col = d.col(col)
-		e.u32(proc)
+		e.word(proc)
 		off := e.mark()
 		for _, v := range col {
-			e.i32(v)
+			e.word(uint32(v))
 		}
 		e.patch(off, uint32(len(col)))
 	}
@@ -208,9 +174,5 @@ func serveBounded(payload []byte, lo, hi uint32) {
 		return
 	}
 	var w workerState
-	if payload[0] == fMemReq {
-		w.serveMem(payload)
-	} else {
-		w.serveRoute(payload)
-	}
+	w.serve(payload)
 }

@@ -74,8 +74,7 @@ func RunWorker(socket string, rank int, beat time.Duration) error {
 	}
 
 	var e enc
-	e.reset(fHello)
-	e.u32(uint32(rank))
+	e.start(fHello, &rankHdr{uint32(rank)})
 	if err := send(append([]byte(nil), e.finish()...)); err != nil {
 		return fmt.Errorf("hello: %w", err)
 	}
@@ -84,8 +83,7 @@ func RunWorker(socket string, rank int, beat time.Duration) error {
 	defer close(stop)
 	go func() {
 		var be enc
-		be.reset(fBeat)
-		be.u32(uint32(rank))
+		be.start(fBeat, &rankHdr{uint32(rank)})
 		frame := append([]byte(nil), be.finish()...)
 		t := time.NewTicker(beat)
 		defer t.Stop()
@@ -111,34 +109,22 @@ func RunWorker(socket string, rank int, beat time.Duration) error {
 			// death); either way the worker's job is over.
 			return nil
 		}
-		switch payload[0] {
-		case fMemReq:
-			res, err := w.serveMem(payload)
-			if err != nil {
-				return err
-			}
-			if err := send(res); err != nil {
-				return err
-			}
-		case fRouteReq:
-			res, err := w.serveRoute(payload)
-			if err != nil {
-				return err
-			}
-			if err := send(res); err != nil {
-				return err
-			}
-		case fShutdown:
+		if payload[0] == fShutdown {
 			return nil
-		default:
-			return fmt.Errorf("unexpected frame type %d", payload[0])
+		}
+		res, err := w.serve(payload)
+		if err != nil {
+			return err
+		}
+		if err := send(res); err != nil {
+			return err
 		}
 	}
 }
 
 // workerState is one worker's reusable merge scratch: the reference
-// mergers plus one decoded-run buffer, so steady-state merges allocate
-// nothing.
+// mergers plus one decoded-run buffer, so a steady-state merge allocates
+// only its small fixed-field headers and decoder.
 type workerState struct {
 	mm  engine.MemMerger
 	rm  engine.RouteMerger
@@ -161,8 +147,8 @@ const (
 // past the mergers' per-processor dedup and double-count its requests.
 func (w *workerState) section(d *dec, nprocs, kind int) error {
 	prev := -1
-	for i, n := 0, int(d.u32()); i < n; i++ {
-		proc := int(d.u32())
+	for i, n := 0, int(d.word()); i < n; i++ {
+		proc := int(d.word())
 		w.col = d.col(w.col)
 		switch {
 		case d.err != nil:
@@ -202,69 +188,63 @@ func trailing(d *dec) error {
 	return nil
 }
 
-func (w *workerState) serveMem(payload []byte) ([]byte, error) {
-	d := dec{b: payload, off: 1}
-	phase := d.u32()
-	attempt := d.u32()
-	cells := d.u32()
-	lo := d.u32()
-	hi := d.u32()
-	nprocs := int(d.u32())
+// serve answers one request payload with its response frame.
+func (w *workerState) serve(payload []byte) ([]byte, error) {
+	d, t := newDec(payload)
+	switch t {
+	case fMemReq:
+		return w.serveMem(&d)
+	case fRouteReq:
+		return w.serveRoute(&d)
+	}
+	return nil, fmt.Errorf("unexpected frame type %d", t)
+}
+
+// serveMem answers an fMemReq whose type byte d has consumed.
+func (w *workerState) serveMem(d *dec) ([]byte, error) {
+	var h memReqHdr
+	h.fields(d)
 	if d.err != nil {
 		return nil, d.err
 	}
-	if err := checkRange(lo, hi, cells); err != nil {
+	if err := checkRange(h.lo, h.hi, h.cells); err != nil {
 		return nil, err
 	}
-	w.mm.Begin(int(lo), int(hi))
-	err := w.section(&d, nprocs, readRuns)
+	w.mm.Begin(int(h.lo), int(h.hi))
+	err := w.section(d, int(h.nprocs), readRuns)
 	if err == nil {
-		err = w.section(&d, nprocs, writeRuns)
+		err = w.section(d, int(h.nprocs), writeRuns)
 	}
 	if err == nil {
-		err = trailing(&d)
+		err = trailing(d)
 	}
 	st := w.mm.End()
 	if err != nil {
 		return nil, err
 	}
-	e := &w.res
-	e.reset(fMemRes)
-	e.u32(phase)
-	e.u32(attempt)
-	e.i64(st.KRead)
-	e.i64(st.KWrite)
-	e.i32(st.Viol)
-	return e.finish(), nil
+	w.res.start(fMemRes, &memResHdr{h.echo, st.KRead, st.KWrite, st.Viol})
+	return w.res.finish(), nil
 }
 
-func (w *workerState) serveRoute(payload []byte) ([]byte, error) {
-	d := dec{b: payload, off: 1}
-	phase := d.u32()
-	attempt := d.u32()
-	p := d.u32()
-	lo := d.u32()
-	hi := d.u32()
-	nsenders := int(d.u32())
+// serveRoute answers an fRouteReq whose type byte d has consumed.
+func (w *workerState) serveRoute(d *dec) ([]byte, error) {
+	var h routeReqHdr
+	h.fields(d)
 	if d.err != nil {
 		return nil, d.err
 	}
-	if err := checkRange(lo, hi, p); err != nil {
+	if err := checkRange(h.lo, h.hi, h.p); err != nil {
 		return nil, err
 	}
-	w.rm.Begin(int(lo), int(hi))
-	err := w.section(&d, nsenders, dstRuns)
+	w.rm.Begin(int(h.lo), int(h.hi))
+	err := w.section(d, int(h.nsenders), dstRuns)
 	if err == nil {
-		err = trailing(&d)
+		err = trailing(d)
 	}
 	st := w.rm.End()
 	if err != nil {
 		return nil, err
 	}
-	e := &w.res
-	e.reset(fRouteRes)
-	e.u32(phase)
-	e.u32(attempt)
-	e.i64(st.HRecv)
-	return e.finish(), nil
+	w.res.start(fRouteRes, &routeResHdr{h.echo, st.HRecv})
+	return w.res.finish(), nil
 }

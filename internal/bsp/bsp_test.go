@@ -1,9 +1,12 @@
 package bsp
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/engine"
 )
 
 func mk(t *testing.T, c Config) *Machine {
@@ -273,6 +276,52 @@ func TestPrivateMemoryPersists(t *testing.T) {
 	})
 	if m.Peek(1, 1) != 202 {
 		t.Errorf("Peek(1,1) = %d, want 202", m.Peek(1, 1))
+	}
+}
+
+// flakyBackend answers routing merges by the reference rules, except
+// that it fails the first one with a transient transport error.
+type flakyBackend struct {
+	failed bool
+	rm     engine.RouteMerger
+}
+
+func (b *flakyBackend) Name() string { return "flaky" }
+func (b *flakyBackend) Close() error { return nil }
+
+func (b *flakyBackend) MergeMem(engine.MemMergeReq) (engine.MergeStats, error) {
+	return engine.MergeStats{Viol: -1}, nil
+}
+
+func (b *flakyBackend) MergeRoute(req engine.RouteMergeReq) (engine.RouteStats, error) {
+	if !b.failed {
+		b.failed = true
+		return engine.RouteStats{}, &engine.TransportError{Backend: "flaky", Rank: -1, Err: errors.New("frame lost")}
+	}
+	return b.rm.Merge(req, 0, req.P), nil
+}
+
+// A transient backend failure must roll the superstep's private-memory
+// mutations back before the retry, exactly as an injected transient
+// fault does: two increments of a private cell leave it at 2, not 3.
+func TestTransientBackendFailureRollsBack(t *testing.T) {
+	for _, w := range []int{1, 8} {
+		m := mk(t, Config{P: 16, G: 1, L: 1, N: 16, PrivCells: 1, Workers: w})
+		m.SetBackend(&flakyBackend{})
+		for s := 0; s < 2; s++ {
+			m.Superstep(func(c *Ctx) { c.Priv()[0]++ })
+		}
+		if err := m.Err(); err != nil {
+			t.Fatalf("W=%d: machine erred: %v", w, err)
+		}
+		for i := 0; i < 16; i++ {
+			if got := m.Peek(i, 0); got != 2 {
+				t.Fatalf("W=%d: component %d private cell = %d after two increments, want 2", w, i, got)
+			}
+		}
+		if got := m.FaultStats().Transport; got != 1 {
+			t.Fatalf("W=%d: FaultStats().Transport = %d, want 1", w, got)
+		}
 	}
 }
 

@@ -165,22 +165,18 @@ func (c *Core) BackendName() string {
 	return c.backend.Name()
 }
 
-// transportStatus converts a failed backend merge into a phase status:
-// permanent transport faults poison the machine diagnosably; transient
-// ones become PhaseRetry, recovering through the same RetryPolicy (and
-// charging the same model-time backoff stall) as injected transient
-// faults. Nothing was charged or applied when the merge failed, so no
-// rollback is needed — the retried attempt re-runs the bodies against
-// unchanged start-of-phase state.
-func (c *Core) transportStatus(err error) PhaseStatus {
+// transportFault classifies a failed backend merge for failAttempt:
+// permanent transport faults poison the machine diagnosably; any other
+// failure is transient, counted in FaultStats.Transport, and recovers
+// through the same rollback, RetryPolicy and model-time backoff stall as
+// an injected transient fault.
+func (c *Core) transportFault(err error) (FaultClass, error) {
 	var te *TransportError
 	if errors.As(err, &te) && te.Permanent {
-		c.RecordErr(fmt.Errorf("phase %d: %w", c.curPhase, err)) //lint:hotpathalloc-ok abort path: formats once, then the machine is poisoned
-		return PhaseAborted
+		return FaultPermanent, fmt.Errorf("phase %d: %w", c.curPhase, err) //lint:hotpathalloc-ok abort path: formats once, then the machine is poisoned
 	}
 	c.fstats.Transport++
-	c.lastFault = err //lint:commitpurity-ok transport-retry bookkeeping inside the commit barrier: transportStatus is called only from the backend commit paths, mirroring consultInjector
-	return PhaseRetry
+	return FaultTransient, err
 }
 
 // MemMerger is the reference shared-memory merge: the exact contention

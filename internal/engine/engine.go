@@ -117,7 +117,7 @@ type Core struct {
 	// the next phase's dispatch — ordered by the goroutine-start edge);
 	// attempt is the 1-based per-phase attempt counter; lastFault is the
 	// most recent transient fault error, kept for the retries-exhausted
-	// message; ckMark/ckOk are the Core half of the phase checkpoint.
+	// message; ckMark is the cost-report half of the phase checkpoint.
 	inj       Injector
 	retry     RetryPolicy
 	degraded  bool
@@ -127,7 +127,6 @@ type Core struct {
 	attempt   int
 	lastFault error
 	ckMark    cost.Mark
-	ckOk      bool
 
 	// backend, when non-nil, replaces the built-in sharded barrier merge
 	// with an external merge service (see backend.go); nil is the default
@@ -202,15 +201,20 @@ const (
 // storage on it. Callers must check Err before invoking (an erred
 // machine skips phases entirely).
 //
-// A commit that returns PhaseRetry (transient fault, already rolled back
-// by the commit closure) charges a model-time recovery stall and
-// re-dispatches the same bodies, up to RetryPolicy.MaxAttempts; model
-// discipline (requests are a function of start-of-phase state) makes the
-// re-execution idempotent. Poisoning always routes through RecordErr, so
-// the first recorded error is stable: repeated Err() calls and
-// post-failure phase attempts observe the same wrapped chain.
+// When an attempt can fail transiently (an injector or a backend is
+// attached), RunPhase first checkpoints the phase-start state. A commit
+// that returns PhaseRetry (already rolled back by failAttempt) charges a
+// model-time recovery stall and re-dispatches the same bodies, up to
+// RetryPolicy.MaxAttempts; model discipline (requests are a function of
+// start-of-phase state) makes the re-execution idempotent. Poisoning
+// always routes through RecordErr, so the first recorded error is
+// stable: repeated Err() calls and post-failure phase attempts observe
+// the same wrapped chain.
 func (c *Core) RunPhase(workers, p int, chunk func(w, lo, hi int) (int32, error), commit func() PhaseStatus) {
 	c.attempt = 1
+	if c.inj != nil || c.backend != nil {
+		c.checkpoint()
+	}
 	for {
 		c.observePhaseStart()
 		nb := sched.NumBlocks(workers, p)

@@ -29,14 +29,16 @@ import (
 //     back to the last committed phase and re-running the body is
 //     semantically a no-op plus the model-time cost of the retry.
 //
-// A transient fault aborts the attempt at the barrier: nothing is
-// charged, no write or delivery lands, and the machine rolls back to the
-// checkpoint taken at phase start — the cost report exactly, and the
-// state phase bodies mutate outside the barrier (the BSP's private
-// memories, through Snapshotter). Damaging committed state first and
-// repairing it by the same rollback would be unobservable work, so the
-// engines do not do it; the failure-path tests pin down that the rollback
-// is exact.
+// A transient fault — injected, or a failed backend merge — aborts the
+// attempt at the barrier: nothing is charged, no write or delivery lands,
+// and the machine rolls back to the checkpoint taken at phase start — the
+// cost report exactly, and the state phase bodies mutate outside the
+// barrier (the BSP's private memories, through Snapshotter). Every failed
+// attempt leaves through failAttempt, and RunPhase takes the checkpoint
+// whenever a retry is possible, so no failure path can retry without the
+// rollback. Damaging committed state first and repairing it by the same
+// rollback would be unobservable work, so the engines do not do it; the
+// failure-path tests pin down that the rollback is exact.
 
 // FaultClass classifies an injected fault's effect on the machine
 // lifecycle.
@@ -121,9 +123,10 @@ type Verdict struct {
 // Snapshotter is an optional adapter extension: machines with host-side
 // mutable state beyond the engine's shared memory or inboxes (the BSP's
 // per-component private memories) implement it on their Model so phase
-// checkpoints capture that state too. Snapshot is called by Checkpoint,
-// Restore by Rollback; without it a retried phase would re-apply the
-// body's private-state mutations on top of the first attempt's.
+// checkpoints capture that state too. Snapshot is called by the phase
+// checkpoint, Restore by its rollback; without it a retried phase would
+// re-apply the body's private-state mutations on top of the first
+// attempt's.
 type Snapshotter interface {
 	Snapshot()
 	Restore()
@@ -308,7 +311,6 @@ func (c *Core) consultInjector(cells int) Verdict {
 	case FaultTransient:
 		c.fstats.Injected++
 		c.fstats.Transient++
-		c.lastFault = v.Err
 		return v
 	default:
 		c.fstats.Injected++
@@ -340,8 +342,8 @@ const (
 // record) of min(BackoffOps·2^(attempt-1), maxRecoveryOps) local
 // operations priced by the model's own cost rule — the doubling
 // saturates instead of overflowing at high attempt counts. It runs after
-// Rollback, so the stall occupies the index of the phase being retried
-// minus nothing — the retried attempt follows it.
+// the rollback, so the stall occupies the index of the phase being
+// retried — the retried attempt follows it.
 func (c *Core) chargeRecovery() {
 	shift := uint(c.attempt - 1)
 	if shift > maxRecoveryShift {
@@ -360,25 +362,53 @@ func (c *Core) chargeRecovery() {
 	c.fstats.RecoveryCost += pc.Time
 	c.observePhaseEnd(pc)
 	// The stall is committed: advance the checkpoint mark past it so a
-	// transient fault on the next attempt does not uncharge it. Memory is
-	// unchanged since Rollback, so the snapshot itself stays valid.
-	c.ckCore()
-}
-
-// ckCore snapshots the Core side of a checkpoint (cost aggregates).
-func (c *Core) ckCore() {
+	// transient fault on the next attempt does not uncharge it. State is
+	// unchanged since the rollback, so the snapshot itself stays valid.
 	c.ckMark = c.report.Mark()
-	c.ckOk = true
 }
 
-// rewindCore restores the Core side of a checkpoint; reports whether a
-// checkpoint was set.
-func (c *Core) rewindCore() bool {
-	if !c.ckOk {
-		return false
+// checkpoint marks the cost aggregates and snapshots the model's private
+// state (through Snapshotter) at a committed-phase boundary, so a failed
+// attempt of the next phase can roll back to exactly this state. Shared
+// memory and inboxes need no copy: phase bodies only stage requests, and
+// a failed attempt applies no write and delivers nothing.
+func (c *Core) checkpoint() {
+	if s, ok := c.model.(Snapshotter); ok {
+		s.Snapshot()
 	}
+	c.ckMark = c.report.Mark()
+}
+
+// rollback restores the last checkpoint: the cost report (phases, total
+// time, work, round counts) and the model's private state.
+func (c *Core) rollback() {
 	c.report.Rewind(c.ckMark)
-	return true
+	if s, ok := c.model.(Snapshotter); ok {
+		s.Restore()
+	}
+}
+
+// failAttempt is the one exit of a barrier attempt that failed before
+// anything was charged or applied, on an injected fault verdict or a
+// failed backend merge (see transportFault). A permanent failure poisons
+// the machine with err. A transient one rolls back to the phase-start
+// checkpoint and schedules a retry, keeping err for the
+// retries-exhausted message. Either way the attempt emits no Request and
+// no PhaseEnd events.
+func (c *Core) failAttempt(class FaultClass, err error) PhaseStatus {
+	if class == FaultPermanent {
+		c.RecordErr(err)
+		return PhaseAborted
+	}
+	c.lastFault = err
+	c.rollback()
+	return PhaseRetry
+}
+
+// fails reports whether the verdict fails the attempt (a degraded-mode
+// crash still commits).
+func (v Verdict) fails() bool {
+	return v.Class == FaultPermanent || v.Class == FaultTransient
 }
 
 // retriesExhausted poisons the machine after MaxAttempts failed attempts

@@ -233,9 +233,6 @@ func (m *Mem[V]) Phase(body func(c *MemCtx[V])) {
 			m.arenas[w] = a
 		}
 	}
-	if m.InjectorActive() {
-		m.Checkpoint()
-	}
 	m.RunPhase(workers, p, func(w, lo, hi int) (int32, error) {
 		a := m.arenas[w]
 		a.begin()
@@ -265,31 +262,6 @@ func (m *Mem[V]) Phase(body func(c *MemCtx[V])) {
 		}
 		return nf, first //lint:colescape-ok first is the earliest processor failure, a fresh error from failf; it does not alias pooled storage
 	}, func() PhaseStatus { return m.commit(workers) })
-}
-
-// Checkpoint marks the cost aggregates (and snapshots an adapter's
-// private state, through Snapshotter) at a committed-phase boundary, so a
-// transient fault in the next phase can roll back to exactly this state.
-// Shared memory needs no copy: phase bodies only stage requests, and a
-// faulted attempt applies no write.
-func (m *Mem[V]) Checkpoint() {
-	if s, ok := any(m.model).(Snapshotter); ok {
-		s.Snapshot()
-	}
-	m.ckCore()
-}
-
-// Rollback restores the last Checkpoint: the cost report (phases, total
-// time, work, round counts) and the adapter's private state return to
-// the checkpointed values. It reports whether a checkpoint was set.
-func (m *Mem[V]) Rollback() bool {
-	if !m.rewindCore() {
-		return false
-	}
-	if s, ok := any(m.model).(Snapshotter); ok {
-		s.Restore()
-	}
-	return true
 }
 
 // ForAll is a convenience wrapper: it runs a phase in which only
@@ -476,30 +448,9 @@ func (m *Mem[V]) commit(workers int) PhaseStatus {
 	}
 
 	if m.InjectorActive() {
-		switch v := m.consultInjector(len(m.mem)); v.Class {
-		case FaultPermanent:
-			// Injected contention-rule violations wrap the model's own
-			// sentinel (multi-%w), so they satisfy errors.Is for both the
-			// fault sentinel and the model's Violation — exactly like a
-			// real access-rule breach. Other permanent faults keep the
-			// package prefix wording.
-			if v.Violation {
-				m.RecordErr(fmt.Errorf("%w: %w in phase %d", //lint:hotpathalloc-ok violation path: formats once, then the machine is poisoned
-					m.model.Violation(), v.Err, m.Report().NumPhases()))
-			} else {
-				m.RecordErr(fmt.Errorf("%s: phase %d: %w", //lint:hotpathalloc-ok violation path: formats once, then the machine is poisoned
-					m.model.Prefix(), m.Report().NumPhases(), v.Err))
-			}
+		if v := m.consultInjector(len(m.mem)); v.fails() {
 			m.finish(workers, ns, false)
-			return PhaseAborted
-		case FaultTransient:
-			// The attempt aborts at the barrier: nothing is charged or
-			// applied, the scratch is reset, and the machine rolls back
-			// to the phase-start checkpoint. The aborted attempt emits no
-			// Request and no PhaseEnd events, per the Observer contract.
-			m.finish(workers, ns, false)
-			m.Rollback()
-			return PhaseRetry
+			return m.failAttempt(v.Class, m.verdictErr(v))
 		}
 	}
 
@@ -519,9 +470,8 @@ func (m *Mem[V]) commit(workers int) PhaseStatus {
 // the write apply — stays here. Writes apply per chunk arena in
 // ascending order, which commits the same winner at every cell as the
 // built-in bucket replay (last write of the highest-numbered processor;
-// merging Applies are order-insensitive). A failed merge schedules a
-// phase retry or poisons the machine per transportStatus; nothing was
-// charged or applied, so state is already consistent.
+// merging Applies are order-insensitive). A failed merge fails the
+// attempt like a fault verdict does (see transportFault).
 func (m *Mem[V]) commitBackend() PhaseStatus {
 	var mOp, mRW int64
 	q := &m.bkReq
@@ -536,7 +486,7 @@ func (m *Mem[V]) commitBackend() PhaseStatus {
 	}
 	st, err := m.backend.MergeMem(*q)
 	if err != nil {
-		return m.transportStatus(err)
+		return m.failAttempt(m.transportFault(err))
 	}
 	if st.Viol >= 0 {
 		m.RecordErr(fmt.Errorf("%w: cell %d both read and written in phase %d", //lint:hotpathalloc-ok violation path: formats once, then the machine is poisoned
@@ -546,21 +496,8 @@ func (m *Mem[V]) commitBackend() PhaseStatus {
 
 	o := Outcome{MaxOps: mOp, MaxRW: mRW, KRead: st.KRead, KWrite: st.KWrite}
 	if m.InjectorActive() {
-		switch v := m.consultInjector(len(m.mem)); v.Class { //lint:injectoronce-ok commitBackend IS the commit barrier when a backend is attached; one draw per attempt, same as the built-in path
-		case FaultPermanent:
-			if v.Violation {
-				m.RecordErr(fmt.Errorf("%w: %w in phase %d", //lint:hotpathalloc-ok violation path: formats once, then the machine is poisoned
-					m.model.Violation(), v.Err, m.Report().NumPhases()))
-			} else {
-				m.RecordErr(fmt.Errorf("%s: phase %d: %w", //lint:hotpathalloc-ok violation path: formats once, then the machine is poisoned
-					m.model.Prefix(), m.Report().NumPhases(), v.Err))
-			}
-			return PhaseAborted
-		case FaultTransient:
-			// As on the built-in path: nothing charged or applied (the
-			// arenas are emptied at the next dispatch); roll back.
-			m.Rollback()
-			return PhaseRetry
+		if v := m.consultInjector(len(m.mem)); v.fails() { //lint:injectoronce-ok commitBackend IS the commit barrier when a backend is attached; one draw per attempt, same as the built-in path
+			return m.failAttempt(v.Class, m.verdictErr(v))
 		}
 	}
 
@@ -571,6 +508,24 @@ func (m *Mem[V]) commitBackend() PhaseStatus {
 	m.applyCtxWrites()
 	m.observePhaseEnd(pc)
 	return PhaseCommitted
+}
+
+// verdictErr is the error a failing verdict fails the attempt with: a
+// transient verdict's own (the retries-exhausted message wraps it), a
+// permanent one's in the package wording. Injected contention-rule
+// violations wrap the model's own sentinel (multi-%w), so they satisfy
+// errors.Is for both the fault sentinel and the model's Violation —
+// exactly like a real access-rule breach.
+func (m *Mem[V]) verdictErr(v Verdict) error {
+	switch {
+	case v.Class == FaultTransient:
+		return v.Err
+	case v.Violation:
+		return fmt.Errorf("%w: %w in phase %d", //lint:hotpathalloc-ok violation path: formats once, then the machine is poisoned
+			m.model.Violation(), v.Err, m.Report().NumPhases())
+	}
+	return fmt.Errorf("%s: phase %d: %w", //lint:hotpathalloc-ok violation path: formats once, then the machine is poisoned
+		m.model.Prefix(), m.Report().NumPhases(), v.Err)
 }
 
 // applyCtxWrites commits the phase's writes straight from the chunk

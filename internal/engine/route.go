@@ -154,9 +154,6 @@ func (r *Route[M]) Superstep(body func(i int, s *Sends[M])) {
 			r.arenas[w] = a
 		}
 	}
-	if r.InjectorActive() {
-		r.Checkpoint()
-	}
 	r.RunPhase(workers, p, func(w, lo, hi int) (int32, error) {
 		a := r.arenas[w]
 		a.begin()
@@ -185,31 +182,6 @@ func (r *Route[M]) Superstep(body func(i int, s *Sends[M])) {
 		}
 		return nf, first //lint:colescape-ok first is the earliest component failure, an adapter-made error; it does not alias pooled storage
 	}, r.commit)
-}
-
-// Checkpoint marks the cost aggregates (and snapshots an adapter's
-// private state, through Snapshotter) at a committed-superstep boundary,
-// so a transient fault in the next superstep can roll back to exactly
-// this state. The inbox needs no copy: a faulted attempt delivers nothing.
-func (r *Route[M]) Checkpoint() {
-	if s, ok := any(r.model).(Snapshotter); ok {
-		s.Snapshot()
-	}
-	r.ckCore()
-}
-
-// Rollback restores the last Checkpoint: the cost report and the
-// adapter's private state return to the checkpointed values
-// (re-execution restages the superstep's sends from the restored
-// start-of-superstep state). It reports whether a checkpoint was set.
-func (r *Route[M]) Rollback() bool {
-	if !r.rewindCore() {
-		return false
-	}
-	if s, ok := any(r.model).(Snapshotter); ok {
-		s.Restore()
-	}
-	return true
 }
 
 // sendMaxima folds the chunk arenas' maxima: the superstep's w and the
@@ -281,8 +253,8 @@ func (r *Route[M]) commit() PhaseStatus {
 	hr, n := r.count()
 	h = max(h, hr)
 	if r.InjectorActive() {
-		if st, stop := r.onFault(r.consultInjector(0)); stop {
-			return st
+		if v := r.consultInjector(0); v.fails() {
+			return r.failAttempt(v.Class, r.verdictErr(v))
 		}
 	}
 	r.deliver(n, Outcome{MaxOps: w, MaxRW: h})
@@ -305,12 +277,12 @@ func (r *Route[M]) commitBackend() PhaseStatus {
 	}
 	st, err := r.backend.MergeRoute(*q)
 	if err != nil {
-		return r.transportStatus(err)
+		return r.failAttempt(r.transportFault(err))
 	}
 	h = max(h, st.HRecv)
 	if r.InjectorActive() {
-		if st, stop := r.onFault(r.consultInjector(0)); stop { //lint:injectoronce-ok commitBackend IS the commit barrier when a backend is attached; one draw per attempt, same as the built-in path
-			return st
+		if v := r.consultInjector(0); v.fails() { //lint:injectoronce-ok commitBackend IS the commit barrier when a backend is attached; one draw per attempt, same as the built-in path
+			return r.failAttempt(v.Class, r.verdictErr(v))
 		}
 	}
 	_, n := r.count()
@@ -318,22 +290,15 @@ func (r *Route[M]) commitBackend() PhaseStatus {
 	return PhaseCommitted
 }
 
-// onFault acts on the injector's verdict for the attempt and reports
-// whether it stops the commit. A permanent fault poisons the machine; a
-// transient one rolls back to the superstep-start checkpoint and
-// schedules a retry. Nothing was delivered or charged, and the aborted
-// attempt emits no Request and no PhaseEnd events.
-func (r *Route[M]) onFault(v Verdict) (PhaseStatus, bool) {
-	switch v.Class {
-	case FaultPermanent:
-		r.RecordErr(fmt.Errorf("%s: superstep %d: %w", //lint:hotpathalloc-ok violation path: formats once, then the machine is poisoned
-			r.model.Name(), r.Report().NumPhases(), v.Err))
-		return PhaseAborted, true
-	case FaultTransient:
-		r.Rollback()
-		return PhaseRetry, true
+// verdictErr is the error a failing verdict fails the attempt with: a
+// transient verdict's own (the retries-exhausted message wraps it), a
+// permanent one's naming the superstep.
+func (r *Route[M]) verdictErr(v Verdict) error {
+	if v.Class == FaultTransient {
+		return v.Err
 	}
-	return PhaseCommitted, false
+	return fmt.Errorf("%s: superstep %d: %w", //lint:hotpathalloc-ok violation path: formats once, then the machine is poisoned
+		r.model.Name(), r.Report().NumPhases(), v.Err)
 }
 
 // deliver charges the superstep, emits its sends, places the n counted
